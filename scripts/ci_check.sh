@@ -33,7 +33,12 @@
 #      (`run_bench.py --check --scenarios ...`), which also re-checks the
 #      deterministic counters and output fingerprints against the
 #      committed BENCH_placement.json (including the exact-vs-anneal
-#      ablation and replay backend-consistency scenarios).
+#      ablation and replay backend-consistency scenarios);
+#   8. the placement benchmark's determinism gate (`perfbench/run.py
+#      --check`): one pass of every workload at the default seed, every
+#      job's output checked and its digest compared with
+#      perfbench/digests.json, and every Table-3 row of the parallel and
+#      sharded runs compared with the serial rows (perfbench/README.md).
 #
 # Usage: scripts/ci_check.sh
 set -euo pipefail
@@ -43,7 +48,7 @@ cd "$REPO_ROOT"
 export PYTHONPATH="$REPO_ROOT/src${PYTHONPATH:+:$PYTHONPATH}"
 PYTHON="${PYTHON:-python}"
 
-echo "== 0/7 static-analysis gate =="
+echo "== 0/8 static-analysis gate =="
 # Cold-vs-warm cache contract: the gate runs twice against a fresh cache
 # directory in one interpreter (so interpreter startup does not pollute
 # the timing); the warm run must take under half the cold wall time and
@@ -87,10 +92,10 @@ else
     echo "mypy not installed; skipping the typing tier (lint gate still ran)"
 fi
 
-echo "== 1/7 tier-1 test suite =="
+echo "== 1/8 tier-1 test suite =="
 "$PYTHON" -m pytest -x -q
 
-echo "== 2/7 sharded plan -> run -> merge round trip =="
+echo "== 2/8 sharded plan -> run -> merge round trip =="
 WORK_DIR="$(mktemp -d)"
 trap 'rm -rf "$WORK_DIR"' EXIT
 
@@ -110,7 +115,7 @@ if ! diff "$WORK_DIR/serial.txt" "$WORK_DIR/merged.txt"; then
 fi
 echo "merged output byte-identical to serial sweep"
 
-echo "== 3/7 run-config round-trip smoke =="
+echo "== 3/8 run-config round-trip smoke =="
 "$PYTHON" -m repro.cli place error-correction-encoding acetyl-chloride \
     --output json > "$WORK_DIR/place-flags.json"
 "$PYTHON" - "$WORK_DIR" <<'PYEOF'
@@ -151,7 +156,7 @@ if flags != config:
 print("config round trip: deterministic fields identical")
 PYEOF
 
-echo "== 4/7 fault-injection smoke =="
+echo "== 4/8 fault-injection smoke =="
 FAULT_DIR="$WORK_DIR/fault"
 mkdir -p "$FAULT_DIR"
 # Worker crash on cell 0's first attempt: --retries must recover to the
@@ -196,7 +201,7 @@ if ! diff "$WORK_DIR/serial.txt" "$FAULT_DIR/recovered-merge.txt"; then
 fi
 echo "fault injection: crash, corruption, replan and resume all recovered"
 
-echo "== 5/7 heuristic-placer determinism smoke =="
+echo "== 5/8 heuristic-placer determinism smoke =="
 ANNEAL_ARGS=(sweep random:8x20x5 grid:4x4 --thresholds 10 20
              --placer anneal:7x150)
 "$PYTHON" -m repro.cli "${ANNEAL_ARGS[@]}" > "$WORK_DIR/anneal-a.txt"
@@ -207,7 +212,7 @@ if ! diff "$WORK_DIR/anneal-a.txt" "$WORK_DIR/anneal-b.txt"; then
 fi
 echo "anneal sweep byte-identical across processes"
 
-echo "== 6/7 native scheduler backend smoke =="
+echo "== 6/8 native scheduler backend smoke =="
 if "$PYTHON" - <<'PYEOF'
 from repro.timing import _native
 
@@ -225,9 +230,12 @@ else
     echo "skipping the native-backend subset (no C toolchain on this host)"
 fi
 
-echo "== 7/7 micro benchmark regression gate =="
+echo "== 7/8 micro benchmark regression gate =="
 "$PYTHON" scripts/run_bench.py --check --repeats 1 \
     --scenarios monomorphism_micro place_qec5_boc place_phaseest_crotonic \
     exact_vs_anneal replay_native
+
+echo "== 8/8 placement benchmark determinism gate =="
+"$PYTHON" perfbench/run.py --check
 
 echo "ci_check: all gates passed"

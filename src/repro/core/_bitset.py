@@ -78,8 +78,10 @@ class HostEncoding:
         "adjacency",
         "degree",
         "neighbor_degrees",
+        "profile_classes",
         "full_mask",
         "_size_signature",
+        "_domain_memo",
     )
 
     def __init__(self, host: nx.Graph) -> None:
@@ -112,12 +114,51 @@ class HostEncoding:
             )
             for i in range(count)
         ]
+        # Nodes grouped by neighbour-degree profile, one mask per class (a
+        # node's degree is its profile's length): a 32x32 grid has only a
+        # handful of classes, so a domain scan visits classes, not nodes.
+        classes: Dict[Tuple[int, ...], int] = {}
+        for position, profile in enumerate(self.neighbor_degrees):
+            classes[profile] = classes.get(profile, 0) | (1 << position)
+        self.profile_classes: List[Tuple[Tuple[int, ...], int]] = list(
+            classes.items()
+        )
         self.full_mask: int = (1 << count) - 1
         self._size_signature = (host.number_of_nodes(), host.number_of_edges())
+        self._domain_memo: Dict[Tuple[int, ...], int] = {}
 
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
+
+    @property
+    def num_edges(self) -> int:
+        """The host's edge count when encoded (self-loops included, as networkx counts)."""
+        return self._size_signature[1]
+
+    def domain_mask(self, pattern_profile: Tuple[int, ...]) -> int:
+        """Mask of host nodes whose profile dominates ``pattern_profile``, memoised.
+
+        ``pattern_profile`` is a pattern node's neighbour degrees in
+        descending order.  A host node qualifies when its degree is at
+        least the profile's length and its ``t``-th largest neighbour
+        degree is at least the profile's ``t``-th entry for every ``t``;
+        that test depends only on the host node's own profile, so it runs
+        once per profile class and the qualifying classes' masks are ORed.
+        """
+        mask = self._domain_memo.get(pattern_profile)
+        if mask is not None:
+            return mask
+        mask = 0
+        length = len(pattern_profile)
+        for host_profile, members in self.profile_classes:
+            if len(host_profile) >= length and all(
+                host_degree >= pattern_degree
+                for host_degree, pattern_degree in zip(host_profile, pattern_profile)
+            ):
+                mask |= members
+        self._domain_memo[pattern_profile] = mask
+        return mask
 
     def matches(self, host: nx.Graph) -> bool:
         """Cheap staleness check against in-place host mutation."""

@@ -52,23 +52,25 @@ def _pattern_order(pattern: nx.Graph) -> List[Node]:
     # Start from the highest-degree node (ties broken deterministically).
     start = max(remaining, key=lambda n: (pattern.degree(n), node_order[n]))
     order.append(start)
+    placed = {start}
     remaining.remove(start)
     while remaining:
         frontier = [
             node
             for node in remaining
-            if any(neighbour in order for neighbour in pattern.neighbors(node))
+            if any(neighbour in placed for neighbour in pattern.neighbors(node))
         ]
         pool = frontier if frontier else list(remaining)
         nxt = max(
             pool,
             key=lambda n: (
-                sum(1 for nb in pattern.neighbors(n) if nb in order),
+                sum(1 for nb in pattern.neighbors(n) if nb in placed),
                 pattern.degree(n),
                 node_order[n],
             ),
         )
         order.append(nxt)
+        placed.add(nxt)
         remaining.remove(nxt)
     return order
 
@@ -86,31 +88,21 @@ def _candidate_domains(
     best neighbour (every pattern neighbour must map to a *distinct* host
     neighbour of no smaller degree).  Both conditions are necessary for
     membership in a complete monomorphism, so filtering by them cannot drop
-    or reorder any yielded mapping.
+    or reorder any yielded mapping.  Both depend on the host node only
+    through its neighbour-degree profile, so the masks come from the
+    encoding's profile classes (:meth:`HostEncoding.domain_mask`).
     """
-    degree = host.degree
-    neighbor_degrees = host.neighbor_degrees
-    count = host.num_nodes
-    domains: List[int] = []
-    for pattern_node in order:
-        pattern_degree = pattern.degree(pattern_node)
-        pattern_profile = sorted(
-            (pattern.degree(nb) for nb in pattern.neighbors(pattern_node)),
-            reverse=True,
+    return [
+        host.domain_mask(
+            tuple(
+                sorted(
+                    (pattern.degree(nb) for nb in pattern.neighbors(pattern_node)),
+                    reverse=True,
+                )
+            )
         )
-        mask = 0
-        for i in range(count):
-            if degree[i] < pattern_degree:
-                continue
-            host_profile = neighbor_degrees[i]
-            if any(
-                host_profile[t] < pattern_profile[t]
-                for t in range(pattern_degree)
-            ):
-                continue
-            mask |= 1 << i
-        domains.append(mask)
-    return domains
+        for pattern_node in order
+    ]
 
 
 def iter_monomorphisms(

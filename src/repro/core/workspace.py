@@ -76,9 +76,15 @@ def _embeds(
     """Exact embeddability check with the cheap necessary conditions first."""
     if graph.number_of_nodes() == 0:
         return True
-    if graph.number_of_nodes() > host.number_of_nodes():
+    # networkx counts edges by summing every node's degree, O(n) on a large
+    # host, so an encoding's recorded counts stand in for the host's.
+    if host_encoding is not None:
+        host_nodes, host_edges = host_encoding.num_nodes, host_encoding.num_edges
+    else:
+        host_nodes, host_edges = host.number_of_nodes(), host.number_of_edges()
+    if graph.number_of_nodes() > host_nodes:
         return False
-    if graph.number_of_edges() > host.number_of_edges():
+    if graph.number_of_edges() > host_edges:
         return False
     if host_bipartite and not nx.is_bipartite(graph):
         # Subgraphs of a bipartite host are bipartite, so a pattern with an

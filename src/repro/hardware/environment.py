@@ -17,9 +17,20 @@ delay is at most a chosen ``Threshold`` (see
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from bisect import bisect_right
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 import networkx as nx
 
@@ -29,10 +40,21 @@ from repro.exceptions import EnvironmentError_
 Node = Hashable
 Pair = Tuple[Node, Node]
 
+#: The largest finite float: a delay is finite iff it is at most this.
+_MAX_FINITE = sys.float_info.max
+
 
 def _canonical_pair(a: Node, b: Node) -> Pair:
     """Return an unordered pair in a deterministic canonical order."""
     return (a, b) if repr(a) <= repr(b) else (b, a)
+
+
+def _find_root(parent: List[int], index: int) -> int:
+    """Union-find root of ``index``, halving the path on the way up."""
+    while parent[index] != index:
+        parent[index] = parent[parent[index]]
+        index = parent[index]
+    return index
 
 
 def injective_placements(environment_qubits: int, circuit_qubits: int) -> int:
@@ -87,6 +109,9 @@ class PhysicalEnvironment:
         self._node_set: FrozenSet[Node] = frozenset(self._nodes)
         if len(self._node_set) != len(self._nodes):
             raise EnvironmentError_("duplicate node labels in the environment")
+        self._position: Dict[Node, int] = {
+            node: position for position, node in enumerate(self._nodes)
+        }
 
         self._single: Dict[Node, float] = {}
         for node, delay in single_qubit_delays.items():
@@ -193,29 +218,63 @@ class PhysicalEnvironment:
 
     def finite_pairs(self) -> Dict[Pair, float]:
         """All pairs with a finite delay, including defaulted ones when finite."""
-        result: Dict[Pair, float] = {}
+        return {
+            _canonical_pair(a, b): delay
+            for a, b, delay in self._pairs_within(_MAX_FINITE)
+        }
+
+    def _pairs_within(self, limit: float) -> Iterator[Tuple[Node, Node, float]]:
+        """Yield ``(a, b, delay)`` for every pair whose delay is at most ``limit``.
+
+        Pairs come in declaration order — ``a`` declared before ``b``, sorted
+        by the declaration index of ``a`` and then of ``b`` — which is the
+        order of a nested ``for i < j`` loop over :attr:`nodes`, so graphs
+        built from it keep that loop's adjacency-dict and edge order.  While
+        the default delay exceeds ``limit`` only explicit pairs qualify, and
+        the walk visits just those: O(n + p log p) for ``p`` explicit pairs
+        instead of O(n^2) (a 1024-node grid has ~2k couplings among ~524k
+        node pairs).  Once the default is admitted the graph is dense anyway
+        and the walk covers every pair.
+        """
         nodes = self._nodes
+        position = self._position
+        default = self.default_pair_delay
+        explicit: List[Tuple[int, int, float]] = []
+        for (a, b), delay in self._pairs.items():
+            i = position[a]
+            j = position[b]
+            explicit.append((i, j, delay) if i < j else (j, i, delay))
+        if default > limit:
+            # Index pairs are unique, so the sort never compares delays.
+            explicit.sort()
+            for i, j, delay in explicit:
+                if delay <= limit:
+                    yield nodes[i], nodes[j], delay
+            return
+        lookup = {(i, j): delay for i, j, delay in explicit}
         for i, a in enumerate(nodes):
-            for b in nodes[i + 1:]:
-                delay = self.pair_delay(a, b)
-                if math.isfinite(delay):
-                    result[_canonical_pair(a, b)] = delay
-        return result
+            for j in range(i + 1, len(nodes)):
+                delay = lookup.get((i, j), default)
+                if delay <= limit:
+                    yield a, nodes[j], delay
 
     # -- derived graphs --------------------------------------------------------
 
+    def _graph_within(self, limit: float, name: str) -> nx.Graph:
+        """All nodes plus the pairs admitted by ``limit``, with ``delay`` attributes."""
+        graph = nx.Graph(name=name)
+        graph.add_nodes_from(self._nodes)
+        nx.set_node_attributes(graph, self._single, "delay")
+        graph.add_edges_from(
+            (a, b, {"delay": delay}) for a, b, delay in self._pairs_within(limit)
+        )
+        return graph
+
     def to_networkx(self, include_infinite: bool = False) -> nx.Graph:
         """Full environment graph with ``delay`` edge and node attributes."""
-        graph = nx.Graph(name=self.name)
-        for node in self._nodes:
-            graph.add_node(node, delay=self._single[node])
-        nodes = self._nodes
-        for i, a in enumerate(nodes):
-            for b in nodes[i + 1:]:
-                delay = self.pair_delay(a, b)
-                if include_infinite or math.isfinite(delay):
-                    graph.add_edge(a, b, delay=delay)
-        return graph
+        return self._graph_within(
+            math.inf if include_infinite else _MAX_FINITE, self.name
+        )
 
     def adjacency_graph(self, threshold: float) -> nx.Graph:
         """Graph of "fast" interactions: pairs whose delay is at most ``threshold``.
@@ -223,11 +282,12 @@ class PhysicalEnvironment:
         Nodes are always all physical qubits (a node may end up isolated).
         Edges carry the ``delay`` attribute.
 
-        The graph is built once per distinct threshold and cached: a
-        threshold sweep placing many circuits at the same thresholds reuses
-        one graph object per cell instead of re-deriving it from the
-        ``O(n^2)`` delay table every time.  Callers must treat the returned
-        graph as read-only; mutate the *environment* (``set_pair_delay``,
+        The graph is built from the pairs the threshold admits (only the
+        explicit couplings, unless the default delay is admitted too) once
+        per distinct threshold signature and cached: a threshold sweep
+        placing many circuits at the same thresholds reuses one graph
+        object per cell.  Callers must treat the returned graph as
+        read-only; mutate the *environment* (``set_pair_delay``,
         ``set_single_qubit_delay``) or call :meth:`invalidate_caches`
         instead of editing the graph in place.
         """
@@ -237,15 +297,7 @@ class PhysicalEnvironment:
             STATS.increment("environment.adjacency_cache_hits")
             return cached
         STATS.increment("environment.adjacency_cache_misses")
-        graph = nx.Graph(name=f"{self.name}@{threshold:g}")
-        for node in self._nodes:
-            graph.add_node(node, delay=self._single[node])
-        nodes = self._nodes
-        for i, a in enumerate(nodes):
-            for b in nodes[i + 1:]:
-                delay = self.pair_delay(a, b)
-                if delay <= threshold:
-                    graph.add_edge(a, b, delay=delay)
+        graph = self._graph_within(threshold, f"{self.name}@{threshold:g}")
         self._adjacency_cache[key] = graph
         return graph
 
@@ -418,20 +470,31 @@ class PhysicalEnvironment:
         value such that the graph associated with fastest interactions is
         connected".  Computed as the bottleneck (minimax) edge of a minimum
         spanning tree over finite pair delays.  Raises if even the full
-        finite graph is disconnected.
+        finite graph is disconnected (a single node counts as having no
+        connected finite-delay graph).
         """
         if self._minimal_threshold is not None:
             return self._minimal_threshold
-        graph = self.to_networkx(include_infinite=False)
-        if graph.number_of_edges() == 0 or not nx.is_connected(graph):
-            raise EnvironmentError_(
-                f"environment {self.name!r} has no connected finite-delay graph"
-            )
-        tree = nx.minimum_spanning_tree(graph, weight="delay")
-        self._minimal_threshold = max(
-            data["delay"] for _, _, data in tree.edges(data=True)
+        # Kruskal's union-find over the finite pairs by increasing delay:
+        # the delay that joins the last two components is the bottleneck
+        # edge shared by every minimum spanning tree.
+        position = self._position
+        parent = list(range(len(self._nodes)))
+        components = len(parent)
+        edges = sorted(self._pairs_within(_MAX_FINITE), key=lambda edge: edge[2])
+        for a, b, delay in edges:
+            root_a = _find_root(parent, position[a])
+            root_b = _find_root(parent, position[b])
+            if root_a == root_b:
+                continue
+            parent[root_a] = root_b
+            components -= 1
+            if components == 1:
+                self._minimal_threshold = delay
+                return delay
+        raise EnvironmentError_(
+            f"environment {self.name!r} has no connected finite-delay graph"
         )
-        return self._minimal_threshold
 
     def delay_values(self) -> List[float]:
         """Sorted list of distinct finite pair delays (useful for sweeps)."""

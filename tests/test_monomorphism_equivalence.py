@@ -19,7 +19,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core._bitset import HostEncoding, encode_host
 from repro.core.monomorphism import (
+    _candidate_domains,
+    _pattern_order,
     find_monomorphisms,
     has_monomorphism,
     iter_monomorphisms,
@@ -254,3 +257,98 @@ class TestSearchCounters:
         iterator.close()  # abandoning the generator must still flush counts
         delta = STATS.delta_since(before)
         assert delta.get("monomorphism.mappings_yielded", 0) == 1
+
+
+# ---------------------------------------------------------------------------
+# Candidate domains: profile classes + memo vs a per-node scan
+# ---------------------------------------------------------------------------
+
+
+def reference_domains(pattern, order, encoding):
+    """The per-host-node domain scan the profile classes replace."""
+    domains = []
+    for pattern_node in order:
+        pattern_degree = pattern.degree(pattern_node)
+        pattern_profile = sorted(
+            (pattern.degree(nb) for nb in pattern.neighbors(pattern_node)),
+            reverse=True,
+        )
+        mask = 0
+        for i in range(encoding.num_nodes):
+            if encoding.degree[i] < pattern_degree:
+                continue
+            host_profile = encoding.neighbor_degrees[i]
+            if any(
+                host_profile[t] < pattern_profile[t] for t in range(pattern_degree)
+            ):
+                continue
+            mask |= 1 << i
+        domains.append(mask)
+    return domains
+
+
+@st.composite
+def domain_pattern_host_pairs(draw):
+    """Hosts with repeated degree profiles (lattices) and irregular ones."""
+    kind = draw(st.sampled_from(["gnp", "grid", "hex", "regular"]))
+    seed = draw(st.integers(0, 10_000))
+    if kind == "grid":
+        host = nx.grid_2d_graph(draw(st.integers(1, 6)), draw(st.integers(2, 6)))
+    elif kind == "hex":
+        host = nx.hexagonal_lattice_graph(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    elif kind == "regular":
+        host = nx.random_regular_graph(3, 2 * draw(st.integers(2, 6)), seed=seed)
+    else:
+        host = nx.gnp_random_graph(draw(st.integers(1, 14)), draw(st.floats(0.1, 0.8)), seed=seed)
+    pattern = nx.gnp_random_graph(
+        draw(st.integers(1, 7)), draw(st.floats(0.2, 0.9)), seed=draw(st.integers(0, 10_000))
+    )
+    return pattern, host
+
+
+class TestCandidateDomains:
+    @RELAXED
+    @given(domain_pattern_host_pairs(), domain_pattern_host_pairs())
+    def test_class_domains_equal_per_node_scan(self, first, second):
+        # A fresh encoding, then a second pattern against the same (now
+        # partly memoised) encoding, then the first pattern again.
+        pattern, host = first
+        other = second[0]
+        encoding = HostEncoding(host)
+        for current in (pattern, other, pattern):
+            order = _pattern_order(current)
+            expected = reference_domains(current, order, encoding)
+            assert _candidate_domains(current, order, encoding) == expected
+
+    def test_profile_classes_partition_the_host(self):
+        encoding = HostEncoding(nx.grid_2d_graph(32, 32))
+        # Corner, edge-next-to-corner, edge, next-to-edge-corner, interior...
+        assert len(encoding.profile_classes) < 10
+        masks = [mask for _, mask in encoding.profile_classes]
+        assert sum(bin(mask).count("1") for mask in masks) == encoding.num_nodes
+        union = 0
+        for mask in masks:
+            assert union & mask == 0
+            union |= mask
+        assert union == encoding.full_mask
+
+    def test_in_place_mutation_gets_fresh_classes_and_memo(self):
+        host = nx.path_graph(6)
+        star = nx.star_graph(3)  # needs a host node of degree 3
+        stale = encode_host(host)
+        order = _pattern_order(star)
+        assert _candidate_domains(star, order, stale)[0] == 0
+        assert find_monomorphisms(star, host) == []
+
+        host.add_edges_from([(2, 5), (2, 0)])  # node 2 now has degree 4
+        fresh = encode_host(host)
+        assert fresh is not stale
+        assert fresh.matches(host) and not stale.matches(host)
+        assert fresh.profile_classes != stale.profile_classes
+        domains = _candidate_domains(star, order, fresh)
+        assert domains == reference_domains(star, order, fresh)
+        assert domains[0] == 1 << fresh.index[2]
+        assert list(iter_monomorphisms(star, host)) == list(
+            seed_iter_monomorphisms(star, host)
+        )
+        assert find_monomorphisms(star, host)
