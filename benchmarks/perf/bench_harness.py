@@ -202,8 +202,8 @@ def _replay_workload_circuit() -> QuantumCircuit:
     """A deterministic 12-qubit, ~1500-op circuit for the replay scenarios.
 
     Sized well above the evaluator's ``auto`` profitability threshold so
-    the two explicit-backend scenarios measure the regime the numpy kernel
-    is built for (long compiled op lists, thousands of replays).
+    the explicit-backend scenarios measure the regime the native kernel is
+    built for (long compiled op lists, thousands of replays).
     """
     rng = random.Random(20260729)
     qubits = list(range(12))
@@ -232,10 +232,7 @@ def _replay_stress(backend: str) -> Dict:
     across the two backend scenarios.
     """
     from repro.timing import _native
-    from repro.timing._replay import NUMPY_AVAILABLE
 
-    if backend == "numpy" and not NUMPY_AVAILABLE:
-        return {"backend": backend, "skipped": "numpy not importable"}
     if backend == "native" and not _native.available():
         return {
             "backend": backend,
@@ -293,16 +290,6 @@ def _replay_stress(backend: str) -> Dict:
 def scenario_replay_python() -> Dict:
     """Replay-engine stress on the pure Python reference backend."""
     return _replay_stress("python")
-
-
-def scenario_replay_numpy() -> Dict:
-    """Replay-engine stress on the vectorised numpy backend.
-
-    Compare ``wall_time_s`` against ``replay_python`` for the backend
-    speedup; the fingerprints (minus the ``backend`` tag) must be equal —
-    the backends are bit-identical by contract.
-    """
-    return _replay_stress("numpy")
 
 
 def scenario_replay_native() -> Dict:
@@ -472,7 +459,6 @@ SCENARIOS: Dict[str, Callable[[], Dict]] = {
     "parallel_sweep_jobs2": scenario_parallel_sweep_jobs2,
     "parallel_sweep_jobs4": scenario_parallel_sweep_jobs4,
     "replay_python": scenario_replay_python,
-    "replay_numpy": scenario_replay_numpy,
     "replay_native": scenario_replay_native,
     "sharded_sweep": scenario_sharded_sweep,
 }
@@ -567,11 +553,11 @@ def replay_consistency_failures(current: Dict[str, Dict]) -> List[str]:
     """Cross-backend gate: the ``replay_*`` scenarios must agree exactly.
 
     The evaluation backend is an execution detail with a bit-identical
-    contract; if the numpy or native replay fingerprint (ignoring the
-    ``backend`` tag) differs from the python one, the backends computed
-    different runtimes — a correctness bug, not a performance regression.
-    A ``skipped`` fingerprint (missing numpy, no C compiler) is exempt:
-    no work ran, so there is nothing to compare.
+    contract; if the native replay fingerprint (ignoring the ``backend``
+    tag) differs from the python one, the backends computed different
+    runtimes — a correctness bug, not a performance regression.  A
+    ``skipped`` fingerprint (no C compiler) is exempt: no work ran, so
+    there is nothing to compare.
     """
     failures: List[str] = []
     reference = current.get("replay_python")
@@ -580,21 +566,16 @@ def replay_consistency_failures(current: Dict[str, Dict]) -> List[str]:
     expected = {
         k: v for k, v in reference["fingerprint"].items() if k != "backend"
     }
-    for name in ("replay_numpy", "replay_native"):
-        other = current.get(name)
-        if other is None:
-            continue
-        found = {
-            k: v for k, v in other["fingerprint"].items() if k != "backend"
-        }
-        if "skipped" in found:
-            continue
-        if found != expected:
-            failures.append(
-                f"{name}: fingerprint diverged from replay_python "
-                f"({found!r} != {expected!r}); the backends are no longer "
-                "bit-identical"
-            )
+    other = current.get("replay_native")
+    if other is None:
+        return failures
+    found = {k: v for k, v in other["fingerprint"].items() if k != "backend"}
+    if "skipped" not in found and found != expected:
+        failures.append(
+            f"replay_native: fingerprint diverged from replay_python "
+            f"({found!r} != {expected!r}); the backends are no longer "
+            "bit-identical"
+        )
     return failures
 
 
@@ -696,8 +677,8 @@ def check_results(
             "fingerprint", {}
         ):
             # A scenario may be skipped where a prerequisite is missing
-            # (e.g. replay_numpy without numpy); without the work there is
-            # nothing meaningful to gate against the baseline.
+            # (e.g. replay_native without a C compiler); without the work
+            # there is nothing meaningful to gate against the baseline.
             continue
         base_wall = base.get("wall_time_s", 0.0)
         now_wall = now.get("wall_time_s", 0.0)

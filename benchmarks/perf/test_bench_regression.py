@@ -63,10 +63,10 @@ def test_parallel_sweep_fingerprints_agree_across_worker_counts():
 
 @pytest.mark.bench
 def test_replay_fingerprints_agree_across_backends():
-    """The python and numpy replay scenarios must produce one output."""
+    """The python and native replay scenarios must produce one output."""
     results = {
         name: bench_harness.run_scenario(name, repeats=1)
-        for name in ("replay_python", "replay_numpy")
+        for name in ("replay_python", "replay_native")
     }
     assert not bench_harness.replay_consistency_failures(results)
 
@@ -76,31 +76,33 @@ def test_replay_gate_detects_divergence_and_tolerates_skips():
     """Gate logic on synthetic reports: divergence fails, a skip does not."""
     agree = {
         "replay_python": {"fingerprint": {"backend": "python", "checksum": 1.5}},
-        "replay_numpy": {"fingerprint": {"backend": "numpy", "checksum": 1.5}},
+        "replay_native": {"fingerprint": {"backend": "native", "checksum": 1.5}},
     }
     assert not bench_harness.replay_consistency_failures(agree)
     diverged = {
         "replay_python": {"fingerprint": {"backend": "python", "checksum": 1.5}},
-        "replay_numpy": {"fingerprint": {"backend": "numpy", "checksum": 2.5}},
+        "replay_native": {"fingerprint": {"backend": "native", "checksum": 2.5}},
     }
     assert bench_harness.replay_consistency_failures(diverged)
     skipped = {
         "replay_python": {"fingerprint": {"backend": "python", "checksum": 1.5}},
-        "replay_numpy": {"fingerprint": {"backend": "numpy", "skipped": "no numpy"}},
+        "replay_native": {
+            "fingerprint": {"backend": "native", "skipped": "no C compiler"},
+        },
     }
     assert not bench_harness.replay_consistency_failures(skipped)
     # check_results must not flag a skipped scenario against a real baseline.
     baseline = {
         "scenarios": {
-            "replay_numpy": {
+            "replay_native": {
                 "wall_time_s": 0.2,
                 "metrics": {"scheduler.full_evals": 5},
-                "fingerprint": {"backend": "numpy", "checksum": 1.5},
+                "fingerprint": {"backend": "native", "checksum": 1.5},
             }
         }
     }
     failures = bench_harness.check_results(baseline, skipped)
-    assert not [f for f in failures if "replay_numpy" in f]
+    assert not [f for f in failures if "replay_native" in f]
 
 
 @pytest.mark.bench

@@ -27,7 +27,7 @@
 #   6. a native-backend smoke: build the compiled replay kernel on demand
 #      (skipped, with a log line, on hosts without a C compiler) and run
 #      the scheduler-facing tier-1 subset under
-#      REPRO_SCHEDULER_BACKEND=native — the third backend's bit-identity
+#      REPRO_SCHEDULER_BACKEND=native — the native backend's bit-identity
 #      contract (docs/performance.md);
 #   7. the benchmark regression gate on the fast micro scenarios
 #      (`run_bench.py --check --scenarios ...`), which also re-checks the

@@ -472,9 +472,10 @@ class ExperimentRunner:
         Pre-build per-worker environment caches before the first cell
         (parallel runs only; the serial path warms caches naturally).
     scheduler_backend:
-        When set (``"auto"``/``"python"``/``"numpy"``), override every
-        cell's ``options.scheduler_backend`` for this run — the
-        whole-grid equivalent of the CLI's ``--scheduler-backend``.
+        When set (``"auto"``/``"python"``/``"native"``; ``"numpy"`` is
+        an alias of ``"python"``), override every cell's
+        ``options.scheduler_backend`` for this run — the whole-grid
+        equivalent of the CLI's ``--scheduler-backend``.
         Outcomes are bit-identical across backends, so this only affects
         wall time.
     retry_policy:

@@ -144,7 +144,7 @@ class PhysicalEnvironment:
         self._adjacency_cache: Dict[_SigKey, nx.Graph] = {}
         self._component_cache: Dict[_SigKey, nx.Graph] = {}
         self._connectivity_cache: Dict[_SigKey, bool] = {}
-        self._pair_matrix_cache: Dict[Tuple[Node, ...], array] = {}
+        self._pair_table: Optional[array] = None
         self._minimal_threshold: Optional[float] = None
         self._delay_values: Optional[List[float]] = None
         self._cache_version = 0
@@ -161,7 +161,7 @@ class PhysicalEnvironment:
         state["_adjacency_cache"] = {}
         state["_component_cache"] = {}
         state["_connectivity_cache"] = {}
-        state["_pair_matrix_cache"] = {}
+        state["_pair_table"] = None
         state["_minimal_threshold"] = None
         state["_delay_values"] = None
         return state
@@ -370,47 +370,42 @@ class PhysicalEnvironment:
         self._component_cache[key] = component
         return component
 
-    def pair_delay_table(self, nodes: Optional[Tuple[Node, ...]] = None) -> array:
-        """Flat row-major ``n x n`` pair-delay matrix over ``nodes``, cached.
+    def pair_delay_table(self) -> array:
+        """Flat row-major ``n x n`` pair-delay matrix over :attr:`nodes`, cached.
 
         Entry ``i * n + j`` is :meth:`pair_delay` of ``(nodes[i], nodes[j])``
         — the diagonal degenerates to the single-qubit delays, matching the
-        scheduler's ``_pair_weight`` for every index pair.  ``nodes``
-        defaults to (and is keyed as) the full declaration-order node tuple,
-        so every :class:`~repro.timing.scheduler.RuntimeEvaluator` built
-        against the same calibration shares one table instead of re-running
-        the ``O(n^2)`` fill (~524k lookups on a 1024-node grid).  Cached
-        next to the threshold-keyed graph caches: recalibration via
+        scheduler's ``_pair_weight`` for every index pair.  Every
+        :class:`~repro.timing.scheduler.RuntimeEvaluator` built against the
+        same calibration shares one table instead of re-running the
+        ``O(n^2)`` fill (~524k lookups on a 1024-node grid).  Cached next to
+        the threshold-keyed graph caches: recalibration via
         ``set_pair_delay``/``set_single_qubit_delay`` (or a manual
         :meth:`invalidate_caches`) drops it.
 
-        Callers must treat the returned buffer as read-only; both the numpy
-        and native scheduler backends wrap it zero-copy.
+        Callers must treat the returned buffer as read-only; the native
+        scheduler backend wraps it zero-copy.
         """
-        key = self._nodes if nodes is None else tuple(nodes)
-        cached = self._pair_matrix_cache.get(key)
-        if cached is not None:
+        if self._pair_table is not None:
             STATS.increment("scheduler.pair_matrix_cache_hits")
-            return cached
+            return self._pair_table
         STATS.increment("scheduler.pair_matrix_cache_misses")
-        count = len(key)
+        count = len(self._nodes)
         # Delay tables are sparse on big hosts (a 1024-node grid has ~2k
         # explicit couplings against ~524k node pairs), so prefill the
         # default at C speed and write only the explicit entries: the fill
         # is O(n + pairs), not O(n^2).  ``_pairs`` keys are canonical by
         # construction, so each unordered pair appears exactly once.
         flat = array("d", (self.default_pair_delay,)) * (count * count)
-        index = {node: position for position, node in enumerate(key)}
-        for node, position in index.items():
-            flat[position * count + position] = self._single[node]
+        position = self._position
+        for node, i in position.items():
+            flat[i * count + i] = self._single[node]
         for (node_a, node_b), value in self._pairs.items():
-            i = index.get(node_a)
-            j = index.get(node_b)
-            if i is None or j is None:
-                continue
+            i = position[node_a]
+            j = position[node_b]
             flat[i * count + j] = value
             flat[j * count + i] = value
-        self._pair_matrix_cache[key] = flat
+        self._pair_table = flat
         return flat
 
     def invalidate_caches(self) -> None:
@@ -422,7 +417,7 @@ class PhysicalEnvironment:
         self._adjacency_cache.clear()
         self._component_cache.clear()
         self._connectivity_cache.clear()
-        self._pair_matrix_cache.clear()
+        self._pair_table = None
         self._minimal_threshold = None
         self._delay_values = None
         self._cache_version += 1

@@ -16,16 +16,15 @@ Failure is a first-class state, not an exception at import time:
   reason via :func:`load_kernel` (wrapped in a
   :class:`~repro.exceptions.ReproError` by ``resolve_backend``);
 * ``backend="auto"`` treats an unavailable kernel as "not profitable" and
-  silently keeps the python/numpy resolution.
+  silently resolves to the python backend.
 
 Bit-identity: the kernel performs exactly the IEEE-754 double operations
 of the pure Python reference loop (see the comment block at the top of
 ``_native_kernel.c``); the build deliberately passes ``-ffp-contract=off``
 so no multiply-add is fused into an FMA with a single rounding.
 
-The array plumbing uses the stdlib :mod:`array` module (not numpy): the
-native backend must work — and be worth using — on hosts where numpy is
-not importable at all.
+The array plumbing uses the stdlib :mod:`array` module, so importing this
+module (and running the kernel) never imports numpy.
 """
 
 from __future__ import annotations
@@ -231,12 +230,11 @@ def _int32_view(buffer: array) -> "ctypes.Array[ctypes.c_int32]":
 class NativeReplay:
     """Per-evaluator native state: compiled op arrays + base-placement state.
 
-    Mirrors :class:`repro.timing._replay.ReplayTable` for the ``numpy``
-    backend, but stores everything in stdlib ``array`` buffers shared
-    zero-copy with the C kernel.  The owning
-    :class:`~repro.timing.scheduler.RuntimeEvaluator` keeps all public
-    bookkeeping (STATS counters, checkpoint arithmetic, cutoff semantics)
-    so the three backends stay operation-for-operation comparable.
+    Stores the compiled op list, delay tables and base-placement state in
+    stdlib ``array`` buffers shared zero-copy with the C kernel.  The
+    owning :class:`~repro.timing.scheduler.RuntimeEvaluator` keeps all
+    public bookkeeping (STATS counters, checkpoint arithmetic, cutoff
+    semantics) so both backends stay operation-for-operation comparable.
     """
 
     __slots__ = (

@@ -22,7 +22,7 @@
 /* A single op: endpoints a/b (qubit indices; b < 0 marks a single-qubit
  * op) and the relative duration.  Delays are looked up per evaluation in
  * `single` (per node) or the dense `pair` matrix (num_env_nodes ^ 2,
- * row-major), exactly like ReplayTable. */
+ * row-major), exactly like the Python reference's `_pair_weight`. */
 
 static double final_max(const double *times, int64_t num_qubits)
 {

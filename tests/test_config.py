@@ -37,7 +37,7 @@ _options_strategy = st.builds(
     max_workspace_two_qubit_gates=st.one_of(
         st.none(), st.integers(min_value=1, max_value=50)
     ),
-    scheduler_backend=st.sampled_from(["auto", "python", "numpy"]),
+    scheduler_backend=st.sampled_from(["auto", "python", "numpy", "native"]),
     placer=st.sampled_from(
         ["exact", "greedy", "anneal", "anneal:7", "anneal:3x500"]
     ),
@@ -103,6 +103,22 @@ class TestRoundTrip:
         path = tmp_path / "run.json"
         config.save(str(path))
         assert RunConfig.load(str(path)) == config
+
+    def test_numpy_backend_alias_survives_save_load(self, tmp_path):
+        # "numpy" names the python backend today; configs saved with it
+        # must still load, keep the name and re-save to the same bytes.
+        config = RunConfig(
+            circuit="qft6", environment="histidine",
+            options=PlacementOptions(scheduler_backend="numpy"),
+        )
+        path = tmp_path / "run.json"
+        config.save(str(path))
+        loaded = RunConfig.load(str(path))
+        assert loaded == config
+        assert loaded.options.scheduler_backend == "numpy"
+        again = tmp_path / "again.json"
+        loaded.save(str(again))
+        assert again.read_bytes() == path.read_bytes()
 
     def test_to_dict_is_self_describing(self):
         data = RunConfig(circuit="qft6", environment="histidine").to_dict()

@@ -159,7 +159,8 @@ class TestBuiltinRegistries:
 
     def test_scheduler_backends_resolve(self):
         assert SCHEDULER_BACKENDS.build("python") == "python"
-        assert SCHEDULER_BACKENDS.build("auto") in ("python", "numpy", "native")
+        assert SCHEDULER_BACKENDS.build("auto") in ("python", "native")
+        assert SCHEDULER_BACKENDS.build("numpy") == "python"
 
     def test_shard_strategies_registered(self):
         assert SHARD_STRATEGIES.names() == ["cost-balanced", "round-robin"]

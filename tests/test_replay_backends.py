@@ -1,7 +1,6 @@
 """Backend parity for the scheduler replay engine.
 
-The ``RuntimeEvaluator``'s numpy and native backends must be
-*bit-identical* to the pure Python reference on every code path — full
+The ``RuntimeEvaluator``'s native backend must be *bit-identical* to the pure Python reference on every code path — full
 evaluation, incremental tail replay, the branch-and-bound cutoff, and the
 ``full_recompute`` debug mode — for randomized circuits, placements and
 moves.  These tests are the in-process half of that contract;
@@ -10,11 +9,16 @@ moves.  These tests are the in-process half of that contract;
 same property on the ``replay_*`` macro scenarios.
 
 The parity tests run over every backend available in this interpreter:
-``python`` always, ``numpy`` when importable, ``native`` when its kernel
-builds (a C compiler at first use; see ``repro/timing/_native.py``).
+``python`` always, ``native`` when its kernel builds (a C compiler at first
+use; see ``repro/timing/_native.py``).  ``numpy`` is an accepted alias of
+``python``.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -31,9 +35,8 @@ from repro.hardware.molecules import histidine, trans_crotonic_acid
 from repro.timing import _native, _replay
 from repro.timing.scheduler import RuntimeEvaluator, circuit_runtime
 
-needs_numpy = pytest.mark.skipif(
-    not _replay.NUMPY_AVAILABLE, reason="numpy is not importable"
-)
+REPO_SRC = Path(__file__).resolve().parent.parent / "src"
+
 needs_native = pytest.mark.skipif(
     not _native.available(), reason="native kernel does not build here"
 )
@@ -41,9 +44,11 @@ needs_native = pytest.mark.skipif(
 #: Every backend the parity matrix can exercise in this interpreter.
 AVAILABLE_BACKENDS = (
     ["python"]
-    + (["numpy"] if _replay.NUMPY_AVAILABLE else [])
     + (["native"] if _native.available() else [])
 )
+
+#: Every accepted non-``auto`` name, including the ``numpy`` alias of python.
+BACKEND_NAMES = AVAILABLE_BACKENDS + ["numpy"]
 
 RELAXED = settings(
     max_examples=20,
@@ -96,35 +101,17 @@ class TestResolveBackend:
         with pytest.raises(ReproError, match="unknown scheduler backend"):
             _replay.resolve_backend("fortran")
 
-    @needs_numpy
-    def test_auto_uses_profitability_thresholds(self, monkeypatch):
-        monkeypatch.delenv(_replay.BACKEND_ENV_VAR, raising=False)
-        # With the native kernel out of the picture, auto resolves exactly
-        # as before the native backend existed: numpy above its threshold,
-        # python below.
-        monkeypatch.setattr(_native, "available", lambda: False)
-        small = _replay.AUTO_NUMPY_MIN_OPS - 1
-        assert _replay.resolve_backend("auto", num_ops=small) == "python"
-        assert (
-            _replay.resolve_backend("auto", num_ops=_replay.AUTO_NUMPY_MIN_OPS)
-            == "numpy"
-        )
-        assert _replay.resolve_backend("auto", num_ops=None) == "numpy"
-
     @needs_native
     def test_auto_prefers_native_above_its_threshold(self, monkeypatch):
         monkeypatch.delenv(_replay.BACKEND_ENV_VAR, raising=False)
         threshold = _replay.AUTO_NATIVE_MIN_OPS
         assert _replay.resolve_backend("auto", num_ops=threshold) == "native"
         assert _replay.resolve_backend("auto", num_ops=None) == "native"
-        # Below the native threshold (and the numpy one) the fixed
-        # dispatch overhead is not worth paying: pure python wins.
+        # Below the native threshold the fixed dispatch overhead is not
+        # worth paying: pure python wins.
         assert _replay.resolve_backend("auto", num_ops=threshold - 1) == "python"
 
-    @needs_numpy
     def test_env_var_overrides_auto(self, monkeypatch):
-        monkeypatch.setenv(_replay.BACKEND_ENV_VAR, "numpy")
-        assert _replay.resolve_backend("auto", num_ops=1) == "numpy"
         monkeypatch.setenv(_replay.BACKEND_ENV_VAR, "python")
         assert _replay.resolve_backend("auto", num_ops=10**6) == "python"
 
@@ -134,18 +121,13 @@ class TestResolveBackend:
         assert _replay.resolve_backend("auto", num_ops=1) == "native"
 
     def test_env_var_does_not_override_explicit_request(self, monkeypatch):
-        monkeypatch.setenv(_replay.BACKEND_ENV_VAR, "numpy")
+        monkeypatch.setenv(_replay.BACKEND_ENV_VAR, "native")
         assert _replay.resolve_backend("python") == "python"
 
     def test_invalid_env_var_rejected(self, monkeypatch):
         monkeypatch.setenv(_replay.BACKEND_ENV_VAR, "cuda")
         with pytest.raises(ReproError, match="REPRO_SCHEDULER_BACKEND"):
             _replay.resolve_backend("auto")
-
-    def test_numpy_request_without_numpy_rejected(self, monkeypatch):
-        monkeypatch.setattr(_replay, "NUMPY_AVAILABLE", False)
-        with pytest.raises(ReproError, match="not importable"):
-            _replay.resolve_backend("numpy")
 
     def test_native_request_without_build_rejected(self, monkeypatch):
         monkeypatch.setattr(_native, "available", lambda: False)
@@ -160,29 +142,35 @@ class TestResolveBackend:
         with pytest.raises(ReproError, match="no C compiler found"):
             _replay.resolve_backend("auto", num_ops=10**6)
 
-    @needs_numpy
-    def test_auto_without_native_keeps_todays_resolution(self, monkeypatch):
+    def test_auto_without_native_falls_back(self, monkeypatch):
         monkeypatch.delenv(_replay.BACKEND_ENV_VAR, raising=False)
-        monkeypatch.setattr(_native, "available", lambda: False)
-        assert _replay.resolve_backend("auto", num_ops=10**6) == "numpy"
-        assert _replay.resolve_backend("auto", num_ops=1) == "python"
-
-    def test_auto_without_numpy_or_native_falls_back(self, monkeypatch):
-        monkeypatch.delenv(_replay.BACKEND_ENV_VAR, raising=False)
-        monkeypatch.setattr(_replay, "NUMPY_AVAILABLE", False)
         monkeypatch.setattr(_native, "available", lambda: False)
         assert _replay.resolve_backend("auto", num_ops=10**6) == "python"
+        assert _replay.resolve_backend("auto", num_ops=None) == "python"
+
+    def test_numpy_is_an_alias_of_python(self):
+        assert _replay.resolve_backend("numpy") == "python"
+        assert _replay.resolve_backend("numpy", num_ops=10**6) == "python"
+
+    def test_numpy_env_var_resolves_to_python(self, monkeypatch):
+        monkeypatch.setenv(_replay.BACKEND_ENV_VAR, "numpy")
+        assert _replay.resolve_backend("auto", num_ops=10**6) == "python"
+        assert _replay.resolve_backend("auto", num_ops=None) == "python"
+
+    def test_numpy_evaluator_runs_the_python_loop(self, crotonic):
+        circuit = _random_circuit(5, 40, 17)
+        evaluator = RuntimeEvaluator(circuit, crotonic, backend="numpy")
+        assert evaluator.backend == "python"
+        assert evaluator._native is None
 
     @pytest.mark.skipif(
         _native.available(), reason="native kernel builds on this host"
     )
     def test_pure_python_fallback_without_native_build(self):
-        # On hosts without a working toolchain, auto must silently keep
-        # the python/numpy resolution and the evaluator must stay fully
-        # functional on the pure-Python (or numpy) path.
+        # On hosts without a working toolchain, auto must silently resolve
+        # to python and the evaluator must stay fully functional.
         assert _native.unavailable_reason()
-        resolved = _replay.resolve_backend("auto", num_ops=10**6)
-        assert resolved in ("python", "numpy")
+        assert _replay.resolve_backend("auto", num_ops=10**6) == "python"
         environment = trans_crotonic_acid()
         circuit = _random_circuit(4, 20, 7)
         placement = _random_placement(circuit, environment, 8)
@@ -191,6 +179,27 @@ class TestResolveBackend:
         assert evaluator.runtime(placement) == circuit_runtime(
             circuit, placement, environment, validate=False
         )
+
+
+class TestImportFootprint:
+    def test_numpy_stays_off_the_import_path(self):
+        # Neither backend needs numpy; only repro.simulation imports it, on
+        # demand.  A fresh interpreter keeps the parent's sys.modules out.
+        script = (
+            "import sys, repro, repro.cli\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+            "import repro.simulation\n"
+            "assert 'numpy' in sys.modules\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_SRC) + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
 
 
 class TestBackendParity:
@@ -241,8 +250,8 @@ class TestBackendParity:
                 expected = python.runtime_with(swap)
                 for evaluator in others:
                     assert evaluator.runtime_with(swap) == expected
-        # Replays must leave the base state intact (numpy scatters durations
-        # in place; native keeps per-qubit override flags).
+        # Replays must leave the base state intact (native keeps per-qubit
+        # override flags).
         first = circuit.qubits[0]
         for evaluator in others:
             assert evaluator.runtime_with({first: placement[first]}) == base
@@ -266,7 +275,7 @@ class TestBackendParity:
             evaluator.flush_stats()
             delta = STATS.delta_since(before)
             # The environment-level pair-matrix cache warms on the first
-            # array-backed evaluator and hits afterwards; that is backend
+            # native evaluator and hits afterwards; that is backend
             # metadata, not evaluation accounting.
             delta.pop("scheduler.pair_matrix_cache_hits", None)
             delta.pop("scheduler.pair_matrix_cache_misses", None)
@@ -289,29 +298,6 @@ class TestBackendParity:
         for qubit in circuit.qubits:
             for node in free:
                 evaluator.runtime_with({qubit: node})
-
-    @needs_numpy
-    def test_full_recompute_detects_divergence(self):
-        environment = trans_crotonic_acid()
-        circuit = _random_circuit(4, 20, 9)
-        placement = _random_placement(circuit, environment, 10)
-        evaluator = RuntimeEvaluator(
-            circuit, environment, backend="numpy", full_recompute=True
-        )
-        evaluator.set_base(placement)
-        # Corrupt the compiled pair delays in the numpy table only (the
-        # shared cached buffer is read-only, so rebind a doubled copy): the
-        # cross-backend assertion must catch the (synthetic) divergence.
-        evaluator._table.pair = evaluator._table.pair * 2.0
-        free = [n for n in environment.nodes if n not in set(placement.values())]
-        moved = {q for gate in circuit if gate.is_two_qubit for q in gate.qubits}
-        with pytest.raises(AssertionError):
-            for qubit in sorted(moved, key=repr):
-                for node in free:
-                    evaluator.runtime_with({qubit: node})
-        # Full evaluations are cross-checked too, not just incremental ones.
-        with pytest.raises(AssertionError, match="diverged"):
-            evaluator.set_base(placement)
 
     @needs_native
     def test_full_recompute_detects_native_divergence(self):
@@ -338,54 +324,20 @@ class TestBackendParity:
             assert evaluator.runtime_with({"a": "C4"}) == 0.0
 
 
-@needs_numpy
-class TestGatherCacheBound:
-    def test_cap_evicts_without_changing_results(self, monkeypatch):
-        environment = histidine()
-        circuit = _random_circuit(8, 60, 21)
-        placement = _random_placement(circuit, environment, 22)
-        reference = RuntimeEvaluator(circuit, environment, backend="numpy")
-        reference.set_base(placement)
-        rng = random.Random(5)
-        qubits = list(circuit.qubits)
-        swaps = []
-        for _ in range(40):
-            a, b = rng.sample(qubits, 2)
-            swaps.append({a: placement[b], b: placement[a]})
-        # Reference values under the default (un-hit) cap...
-        expected = [reference.runtime_with(swap) for swap in swaps]
-        assert 4 < len(reference._table._gather_cache) <= (
-            _replay.GATHER_CACHE_MAX_ENTRIES
-        )
-        # ...must be bit-identical under a cap small enough to churn.
-        monkeypatch.setattr(_replay, "GATHER_CACHE_MAX_ENTRIES", 4)
-        bounded = RuntimeEvaluator(circuit, environment, backend="numpy")
-        bounded.set_base(placement)
-        for swap, value in zip(swaps, expected):
-            assert bounded.runtime_with(swap) == value
-        assert len(bounded._table._gather_cache) <= 4
-        # Re-missing an evicted key recomputes the exact same arrays.
-        for swap, value in zip(swaps[:5], expected[:5]):
-            assert bounded.runtime_with(swap) == value
-
-
 class TestPairMatrixCache:
-    @needs_numpy
-    def test_shared_across_evaluators_with_hit_counter(self, crotonic):
+    @needs_native
+    def test_shared_across_native_evaluators_with_hit_counter(self, crotonic):
         crotonic.invalidate_caches()
         circuit = _random_circuit(5, 30, 13)
         before = STATS.snapshot()
-        first = RuntimeEvaluator(circuit, crotonic, backend="numpy")
-        second = RuntimeEvaluator(circuit, crotonic, backend="numpy")
+        first = RuntimeEvaluator(circuit, crotonic, backend="native")
+        second = RuntimeEvaluator(circuit, crotonic, backend="native")
         delta = STATS.delta_since(before)
         assert delta.get("scheduler.pair_matrix_cache_misses") == 1
         assert delta.get("scheduler.pair_matrix_cache_hits") == 1
-        # Zero-copy sharing: both tables view the same cached buffer.
-        assert (
-            first._table.pair.__array_interface__["data"][0]
-            == second._table.pair.__array_interface__["data"][0]
-        )
-        assert not first._table.pair.flags.writeable
+        # Zero-copy sharing: both kernels read the same cached buffer.
+        assert first._native._pair is second._native._pair
+        assert first._native._pair is crotonic.pair_delay_table()
 
     def test_recalibration_invalidates(self, crotonic):
         flat = crotonic.pair_delay_table()
@@ -412,14 +364,14 @@ class TestPairMatrixCache:
 
         crotonic.pair_delay_table()
         clone = pickle.loads(pickle.dumps(crotonic))
-        assert clone._pair_matrix_cache == {}
+        assert clone._pair_table is None
 
 
 class TestPlacerLevelBackendParity:
     @pytest.mark.parametrize("threshold", [100.0, 200.0])
     def test_place_circuit_identical_across_backends(self, crotonic, threshold):
         results = {}
-        for backend in AVAILABLE_BACKENDS:
+        for backend in BACKEND_NAMES:
             result = place_circuit(
                 qft_circuit(6),
                 crotonic,
@@ -431,7 +383,7 @@ class TestPlacerLevelBackendParity:
                  for stage in result.stages],
                 [swap.runtime for swap in result.swap_stages],
             )
-        for backend in AVAILABLE_BACKENDS[1:]:
+        for backend in BACKEND_NAMES[1:]:
             assert results[backend] == results["python"]
 
     def test_invalid_backend_option_rejected(self):
@@ -457,11 +409,11 @@ class TestPlacerLevelBackendParity:
             threshold=200.0,
         )
         outcomes = {}
-        for backend in AVAILABLE_BACKENDS:
+        for backend in BACKEND_NAMES:
             runner = ExperimentRunner(scheduler_backend=backend)
             outcome = runner.run([spec])[0].raise_if_infeasible()
             outcomes[backend] = (outcome.runtime_seconds, outcome.num_subcircuits)
-        for backend in AVAILABLE_BACKENDS[1:]:
+        for backend in BACKEND_NAMES[1:]:
             assert outcomes[backend] == outcomes["python"]
         with pytest.raises(ExperimentError, match="scheduler_backend"):
             ExperimentRunner(scheduler_backend="gpu")
