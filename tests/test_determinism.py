@@ -126,9 +126,21 @@ class TestHashSeedDeterminism:
 
     def test_outputs_identical_across_scheduler_backends(self):
         """The evaluation backend is an execution detail: forcing python or
-        the compiled native kernel (each under its own hash seed, and once
-        through the parallel grid) must reproduce the same bytes — the
-        scheduler backends are bit-identical by contract."""
+        the ``numpy`` alias (each under its own hash seed, and once through
+        the parallel grid) must reproduce the same bytes — saved settings
+        naming the retired numpy backend keep their results."""
+        reference = _fingerprint("0", jobs=1, backend="python")
+        assert _fingerprint("31337", jobs=1, backend="numpy") == reference, (
+            "numpy-alias outputs diverged from the python backend"
+        )
+        assert _fingerprint("424242", jobs=2, backend="numpy") == reference, (
+            "parallel numpy-alias outputs diverged from the serial "
+            "python backend"
+        )
+
+    def test_native_backend_outputs_identical_to_python(self):
+        """The compiled replay kernel is held to the same byte-identity
+        contract, across hash seeds and the parallel grid."""
         from repro.timing import _native
 
         if not _native.available():

@@ -283,8 +283,7 @@ class TestBackendParity:
         for delta in deltas[1:]:
             assert delta == deltas[0]
 
-    @pytest.mark.parametrize("backend", [b for b in AVAILABLE_BACKENDS
-                                         if b != "python"])
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_full_recompute_cross_checks_backends(self, backend):
         environment = histidine()
         circuit = _random_circuit(6, 40, 3)
@@ -298,6 +297,27 @@ class TestBackendParity:
         for qubit in circuit.qubits:
             for node in free:
                 evaluator.runtime_with({qubit: node})
+
+    def test_full_recompute_detects_divergence(self):
+        environment = trans_crotonic_acid()
+        circuit = _random_circuit(4, 20, 9)
+        placement = _random_placement(circuit, environment, 10)
+        evaluator = RuntimeEvaluator(
+            circuit, environment, backend="python", full_recompute=True
+        )
+        evaluator.set_base(placement)
+        # Corrupt the recorded base-placement durations that the incremental
+        # tail replay reuses for unmoved gates: the incremental-vs-full
+        # assertion must catch the (synthetic) divergence.
+        evaluator._base_durations = [
+            2.0 * duration for duration in evaluator._base_durations
+        ]
+        free = [n for n in environment.nodes if n not in set(placement.values())]
+        moved = {q for gate in circuit if gate.is_two_qubit for q in gate.qubits}
+        with pytest.raises(AssertionError, match="diverged"):
+            for qubit in sorted(moved, key=repr):
+                for node in free:
+                    evaluator.runtime_with({qubit: node})
 
     @needs_native
     def test_full_recompute_detects_native_divergence(self):
@@ -326,7 +346,7 @@ class TestBackendParity:
 
 class TestPairMatrixCache:
     @needs_native
-    def test_shared_across_native_evaluators_with_hit_counter(self, crotonic):
+    def test_shared_across_evaluators_with_hit_counter(self, crotonic):
         crotonic.invalidate_caches()
         circuit = _random_circuit(5, 30, 13)
         before = STATS.snapshot()
