@@ -24,11 +24,14 @@
 #   5. a heuristic-placer smoke: the same `--placer anneal:SEEDxITERS`
 #      sweep run twice in separate processes must be byte-identical —
 #      the seeded annealer's determinism contract (docs/placers.md);
-#   6. a native-backend smoke: build the compiled replay kernel on demand
+#   6. scheduler-backend smokes: build the compiled replay kernel on demand
 #      (skipped, with a log line, on hosts without a C compiler) and run
 #      the scheduler-facing tier-1 subset under
 #      REPRO_SCHEDULER_BACKEND=native — the native backend's bit-identity
-#      contract (docs/performance.md);
+#      contract (docs/performance.md); then run the fine-tuning, placement
+#      and determinism tests under REPRO_SCHEDULER_BACKEND=python, the
+#      only run of the per-candidate reference loop once `auto` resolves
+#      to native;
 #   7. the benchmark regression gate on the fast micro scenarios
 #      (`run_bench.py --check --scenarios ...`), which also re-checks the
 #      deterministic counters and output fingerprints against the
@@ -212,7 +215,7 @@ if ! diff "$WORK_DIR/anneal-a.txt" "$WORK_DIR/anneal-b.txt"; then
 fi
 echo "anneal sweep byte-identical across processes"
 
-echo "== 6/8 native scheduler backend smoke =="
+echo "== 6/8 scheduler backend smokes =="
 if "$PYTHON" - <<'PYEOF'
 from repro.timing import _native
 
@@ -224,11 +227,15 @@ PYEOF
 then
     REPRO_SCHEDULER_BACKEND=native "$PYTHON" -m pytest -x -q \
         tests/test_replay_backends.py tests/test_scheduler.py \
-        tests/test_incremental_scheduler.py tests/test_placers.py
+        tests/test_incremental_scheduler.py tests/test_placers.py \
+        tests/test_fine_tuning.py
     echo "scheduler-facing tier-1 subset green under the native backend"
 else
     echo "skipping the native-backend subset (no C toolchain on this host)"
 fi
+REPRO_SCHEDULER_BACKEND=python "$PYTHON" -m pytest -x -q \
+    tests/test_fine_tuning.py tests/test_placement.py tests/test_determinism.py
+echo "fine tuning, placement and determinism green under the python backend"
 
 echo "== 7/8 micro benchmark regression gate =="
 "$PYTHON" scripts/run_bench.py --check --repeats 1 \

@@ -125,9 +125,8 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
                         default=None,
                         help="runtime-evaluator backend (bit-identical outputs; "
                              "default 'auto' defers to REPRO_SCHEDULER_BACKEND, "
-                             "then picks native when it builds and is "
-                             "profitable, else python; 'numpy' is an alias "
-                             "of 'python')")
+                             "then picks native when it builds, else "
+                             "python; 'numpy' is an alias of 'python')")
     parser.add_argument("--placer", default=None, metavar="SPEC",
                         help="placement engine spec: exact (default), greedy, "
                              "or anneal[:SEED[xITERS]] (multi-restart: "

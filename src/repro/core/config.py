@@ -68,7 +68,7 @@ class PlacementOptions:
         (the reference loop; ``"numpy"`` is an alias), ``"native"`` (the
         compiled C kernel; needs a C compiler at first use) or ``"auto"``
         (the default — defer to the ``REPRO_SCHEDULER_BACKEND`` environment
-        variable, then pick native when it builds and is profitable).
+        variable, then pick native when it builds, else python).
         Backends are bit-identical, so this knob never changes any
         placement output.
     placer:

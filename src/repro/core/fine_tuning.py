@@ -17,7 +17,9 @@ Two execution paths implement the same search:
   :class:`~repro.timing.scheduler.RuntimeEvaluator` — each candidate move
   re-schedules only the operations after the first one that touches a moved
   qubit, reusing recorded busy-time checkpoints and per-operation durations
-  for the untouched prefix.
+  for the untouched prefix.  On the native backend the whole candidate
+  loop runs inside the replay kernel, one call per accepted move
+  (:meth:`~repro.timing.scheduler.RuntimeEvaluator.native_sweep`).
 
 Both paths enumerate candidates in the same order and accept the first
 improving move, and the incremental evaluator is bit-for-bit equal to a full
@@ -27,13 +29,14 @@ return identical placements.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Qubit
 from repro.core._bitset import canonical_order
 from repro.hardware.environment import Node, PhysicalEnvironment
-from repro.timing.scheduler import RuntimeEvaluator, circuit_runtime
+from repro.timing.scheduler import Move, RuntimeEvaluator, circuit_runtime
 
 Placement = Dict[Qubit, Node]
 CostFunction = Callable[[Placement], float]
@@ -109,6 +112,50 @@ def hill_climb(
     return best, best_cost
 
 
+def _first_improving_move(
+    evaluator: RuntimeEvaluator,
+    best: Placement,
+    movable_qubits: Sequence[Qubit],
+    allowed_nodes: Sequence[Node],
+    extra_cost: Optional[CostFunction],
+    start: int,
+    best_cost: float,
+) -> Optional[Move]:
+    """The per-candidate reference for one sweep of the hill climber.
+
+    Tries every alternative node for each movable qubit from position
+    ``start`` on (moving to a free node, or swapping with the qubit there)
+    and returns the first move cheaper than ``best_cost`` as ``(position,
+    overrides, cost)``, or ``None``.  :meth:`RuntimeEvaluator.native_sweep`
+    runs this loop inside the native kernel; this one serves the python
+    backend, ``full_recompute`` and ``extra_cost``.
+    """
+    for position in range(start, len(movable_qubits)):
+        qubit = movable_qubits[position]
+        current_node = best[qubit]
+        node_to_qubit = {node: q for q, node in best.items()}
+        for node in allowed_nodes:
+            if node == current_node:
+                continue
+            occupant = node_to_qubit.get(node)
+            if occupant is None:
+                overrides = {qubit: node}
+            else:
+                overrides = {qubit: node, occupant: current_node}
+            if extra_cost is None:
+                # Rejected moves only need to be known to be >= the
+                # incumbent, so the evaluator may stop scheduling early.
+                candidate_cost = evaluator.runtime_with(overrides, limit=best_cost)
+            else:
+                candidate_cost = evaluator.runtime_with(overrides)
+                candidate = dict(best)
+                candidate.update(overrides)
+                candidate_cost += extra_cost(candidate)
+            if candidate_cost < best_cost:
+                return position, overrides, candidate_cost
+    return None
+
+
 def hill_climb_incremental(
     placement: Placement,
     evaluator: RuntimeEvaluator,
@@ -126,41 +173,35 @@ def hill_climb_incremental(
     those of :func:`hill_climb`, and the evaluator's incremental results are
     bitwise equal to full evaluations, so both searches land on the same
     placement at the same cost.
+
+    Each search for the next improving move is one call: to the native
+    kernel's sweep when the evaluator offers one (and there is no
+    ``extra_cost``), else to the per-candidate :func:`_first_improving_move`.
     """
     best = dict(placement)
     best_cost = evaluator.set_base(best)
-    if extra_cost is not None:
+    find_move: Optional[Callable[[int, float], Optional[Move]]] = None
+    if extra_cost is None:
+        find_move = evaluator.native_sweep(best, movable_qubits, allowed_nodes)
+    else:
         best_cost += extra_cost(best)
+    if find_move is None:
+        find_move = partial(
+            _first_improving_move,
+            evaluator, best, movable_qubits, allowed_nodes, extra_cost,
+        )
     for _ in range(max_rounds):
         improved = False
-        for qubit in movable_qubits:
-            current_node = best[qubit]
-            node_to_qubit = {node: q for q, node in best.items()}
-            for node in allowed_nodes:
-                if node == current_node:
-                    continue
-                occupant = node_to_qubit.get(node)
-                if occupant is None:
-                    overrides = {qubit: node}
-                else:
-                    overrides = {qubit: node, occupant: current_node}
-                if extra_cost is None:
-                    # Rejected moves only need to be known to be >= the
-                    # incumbent, so the evaluator may stop scheduling early.
-                    candidate_cost = evaluator.runtime_with(
-                        overrides, limit=best_cost
-                    )
-                else:
-                    candidate_cost = evaluator.runtime_with(overrides)
-                    candidate = dict(best)
-                    candidate.update(overrides)
-                    candidate_cost += extra_cost(candidate)
-                if candidate_cost < best_cost:
-                    best.update(overrides)
-                    evaluator.set_base(best)
-                    best_cost = candidate_cost
-                    improved = True
-                    break
+        position = 0
+        while True:
+            move = find_move(position, best_cost)
+            if move is None:
+                break
+            position, overrides, best_cost = move
+            best.update(overrides)
+            evaluator.set_base(best)
+            improved = True
+            position += 1  # first improvement per qubit: on to the next one
         if not improved:
             break
     evaluator.flush_stats()

@@ -15,8 +15,8 @@ Failure is a first-class state, not an exception at import time:
 * an explicit ``backend="native"`` request surfaces the recorded one-line
   reason via :func:`load_kernel` (wrapped in a
   :class:`~repro.exceptions.ReproError` by ``resolve_backend``);
-* ``backend="auto"`` treats an unavailable kernel as "not profitable" and
-  silently resolves to the python backend.
+* ``backend="auto"`` silently resolves to the python backend when the
+  kernel is unavailable.
 
 Bit-identity: the kernel performs exactly the IEEE-754 double operations
 of the pure Python reference loop (see the comment block at the top of
@@ -107,6 +107,13 @@ class _ReplayCtx(ctypes.Structure):
         ("interval", ctypes.c_int64),
         ("num_checkpoints", ctypes.c_int64),
         ("stop_index", ctypes.c_int64),
+        ("move_node", ctypes.c_int64),
+        ("move_occupant", ctypes.c_int64),
+        ("sweep_evals", ctypes.c_int64),
+        ("sweep_skipped", ctypes.c_int64),
+        ("sweep_replayed", ctypes.c_int64),
+        ("base_runtime", ctypes.c_double),
+        ("move_cost", ctypes.c_double),
         ("ops_a", ctypes.POINTER(ctypes.c_int32)),
         ("ops_b", ctypes.POINTER(ctypes.c_int32)),
         ("relative", ctypes.POINTER(ctypes.c_double)),
@@ -114,8 +121,10 @@ class _ReplayCtx(ctypes.Structure):
         ("pair", ctypes.POINTER(ctypes.c_double)),
         ("eval_nodes", ctypes.POINTER(ctypes.c_int32)),
         ("base_nodes", ctypes.POINTER(ctypes.c_int32)),
+        ("first_touch", ctypes.POINTER(ctypes.c_int32)),
         ("changed_flag", ctypes.POINTER(ctypes.c_int8)),
         ("changed_target", ctypes.POINTER(ctypes.c_int32)),
+        ("occupant", ctypes.POINTER(ctypes.c_int32)),
         ("base_durations", ctypes.POINTER(ctypes.c_double)),
         ("checkpoints", ctypes.POINTER(ctypes.c_double)),
         ("times", ctypes.POINTER(ctypes.c_double)),
@@ -142,6 +151,17 @@ class _Kernel:
             ctypes.c_int64,     # start
             ctypes.c_double,    # cutoff
             ctypes.c_int32,     # has_cutoff
+        ]
+        self.ctx_sweep = lib.repro_ctx_sweep
+        self.ctx_sweep.restype = ctypes.c_int64
+        self.ctx_sweep.argtypes = [
+            ctx_p,              # ctx
+            ctypes.c_int64,     # start position
+            ctypes.c_int64,     # num_movable
+            ctypes.POINTER(ctypes.c_int32),  # movable qubit indices
+            ctypes.c_int64,     # num_allowed
+            ctypes.POINTER(ctypes.c_int32),  # allowed node indices
+            ctypes.c_double,    # incumbent cost
         ]
 
 
@@ -227,6 +247,11 @@ def _int32_view(buffer: array) -> "ctypes.Array[ctypes.c_int32]":
     return (ctypes.c_int32 * len(buffer)).from_buffer(buffer)
 
 
+def int32_array(values: Sequence[int]) -> "ctypes.Array[ctypes.c_int32]":
+    """A ctypes ``int32`` array holding ``values`` (sweep operands)."""
+    return (ctypes.c_int32 * len(values))(*values)
+
+
 class NativeReplay:
     """Per-evaluator native state: compiled op arrays + base-placement state.
 
@@ -264,6 +289,10 @@ class NativeReplay:
         "_eval_nodes_p",
         "_base_nodes",
         "_base_nodes_p",
+        "_first_touch",
+        "_first_touch_p",
+        "_occupant",
+        "_occupant_p",
         "_durations",
         "_durations_p",
         "_checkpoints",
@@ -281,6 +310,7 @@ class NativeReplay:
         pair_flat: array,
         num_env_nodes: int,
         checkpoint_interval: int,
+        first_touch: Sequence[int],
     ) -> None:
         self._kernel = load_kernel()
         self.num_ops = len(ops)
@@ -302,6 +332,8 @@ class NativeReplay:
         self._targets = array("i", bytes(4 * num_qubits))
         self._eval_nodes = array("i", bytes(4 * num_qubits))
         self._base_nodes = array("i", bytes(4 * num_qubits))
+        self._first_touch = array("i", first_touch)
+        self._occupant = array("i", bytes(4 * num_env_nodes))
         self._durations = array("d", bytes(8 * self.num_ops))
         self._checkpoints = array(
             "d", bytes(8 * self.num_checkpoints * num_qubits)
@@ -318,6 +350,8 @@ class NativeReplay:
         self._targets_p = _int32_view(self._targets)
         self._eval_nodes_p = _int32_view(self._eval_nodes)
         self._base_nodes_p = _int32_view(self._base_nodes)
+        self._first_touch_p = _int32_view(self._first_touch)
+        self._occupant_p = _int32_view(self._occupant)
         self._durations_p = _double_view(self._durations)
         self._checkpoints_p = _double_view(self._checkpoints)
         # The context struct binds every constant operand once; the view
@@ -339,10 +373,12 @@ class NativeReplay:
             pair=ctypes.cast(self._pair_p, double_p),
             eval_nodes=ctypes.cast(self._eval_nodes_p, int32_p),
             base_nodes=ctypes.cast(self._base_nodes_p, int32_p),
+            first_touch=ctypes.cast(self._first_touch_p, int32_p),
             changed_flag=ctypes.cast(
                 self._flags_p, ctypes.POINTER(ctypes.c_int8)
             ),
             changed_target=ctypes.cast(self._targets_p, int32_p),
+            occupant=ctypes.cast(self._occupant_p, int32_p),
             base_durations=ctypes.cast(self._durations_p, double_p),
             checkpoints=ctypes.cast(self._checkpoints_p, double_p),
             times=ctypes.cast(self._times_p, double_p),
@@ -397,3 +433,34 @@ class NativeReplay:
             for index in changed:
                 flags[index] = 0
         return result, self._ctx.stop_index
+
+    # -- hill-climb sweep ------------------------------------------------------
+
+    def sweep(
+        self,
+        start: int,
+        movable: "ctypes.Array[ctypes.c_int32]",
+        allowed: "ctypes.Array[ctypes.c_int32]",
+        incumbent: float,
+    ) -> Optional[Tuple[int, int, int, float]]:
+        """First improving hill-climb move from movable position ``start`` on.
+
+        Returns ``(position, node, occupant, cost)`` — ``occupant`` is the
+        swapped qubit index or ``-1`` — or ``None`` when no candidate beats
+        ``incumbent``.  The call's evaluation counts stay in
+        :attr:`sweep_counts` for the caller's accounting.
+        """
+        position = self._kernel.ctx_sweep(
+            self._ctx_ref, start, len(movable), movable,
+            len(allowed), allowed, incumbent,
+        )
+        if position < 0:
+            return None
+        ctx = self._ctx
+        return position, ctx.move_node, ctx.move_occupant, ctx.move_cost
+
+    @property
+    def sweep_counts(self) -> Tuple[int, int, int]:
+        """``(evaluations, ops skipped, ops replayed)`` of the last sweep."""
+        ctx = self._ctx
+        return ctx.sweep_evals, ctx.sweep_skipped, ctx.sweep_replayed

@@ -178,7 +178,8 @@ double repro_replay_tail(
  * marshalling 13-18 ctypes arguments per call costs more than a short
  * incremental replay itself; with the context, a tail replay passes four
  * scalars.  They delegate to the reference entry points, so the float
- * semantics are identical by construction. */
+ * semantics are identical by construction.  The move_* and sweep_*
+ * fields are outputs of repro_ctx_sweep. */
 typedef struct {
     int64_t num_ops;
     int64_t num_qubits;
@@ -186,6 +187,13 @@ typedef struct {
     int64_t interval;
     int64_t num_checkpoints;
     int64_t stop_index;
+    int64_t move_node;
+    int64_t move_occupant;
+    int64_t sweep_evals;
+    int64_t sweep_skipped;
+    int64_t sweep_replayed;
+    double base_runtime;
+    double move_cost;
     const int32_t *ops_a;
     const int32_t *ops_b;
     const double *relative;
@@ -193,8 +201,10 @@ typedef struct {
     const double *pair;
     const int32_t *eval_nodes;
     const int32_t *base_nodes;
-    const int8_t *changed_flag;
-    const int32_t *changed_target;
+    const int32_t *first_touch;
+    int8_t *changed_flag;
+    int32_t *changed_target;
+    int32_t *occupant;
     double *base_durations;
     double *checkpoints;
     double *times;
@@ -205,7 +215,7 @@ typedef struct {
  * eval_nodes with no recording (the plain run_full path). */
 double repro_ctx_full(repro_replay_ctx *ctx, int32_t record)
 {
-    return repro_replay_full(
+    double result = repro_replay_full(
         ctx->num_ops, ctx->ops_a, ctx->ops_b, ctx->relative,
         record ? ctx->base_nodes : ctx->eval_nodes,
         ctx->single_delays, ctx->pair, ctx->num_env_nodes, ctx->num_qubits,
@@ -213,6 +223,10 @@ double repro_ctx_full(repro_replay_ctx *ctx, int32_t record)
         record ? ctx->base_durations : NULL,
         record ? ctx->checkpoints : NULL,
         ctx->times);
+    if (record) {
+        ctx->base_runtime = result;
+    }
+    return result;
 }
 
 /* Incremental tail replay through the context; the checkpoint row is
@@ -232,4 +246,82 @@ double repro_ctx_tail(repro_replay_ctx *ctx, int64_t start, double cutoff,
         ctx->changed_target, ctx->single_delays, ctx->pair,
         ctx->num_env_nodes, ctx->num_qubits, row, cutoff, has_cutoff,
         ctx->times, &ctx->stop_index);
+}
+
+/* One hill-climb sweep of fine tuning's candidate loop (the per-candidate
+ * reference is _first_improving_move in repro/core/fine_tuning.py).  For
+ * each movable qubit from position `start` on, in order, try every allowed
+ * node in order except the qubit's base node: a move onto a free node, or
+ * a swap with the qubit occupying it.  Each candidate is scored exactly
+ * like RuntimeEvaluator.runtime_with with limit = `incumbent`: a candidate
+ * touching no op costs the base runtime, any other replays the tail from
+ * the checkpoint before its first touched op, with the monotone cutoff.
+ * Returns the position of the first candidate strictly cheaper than
+ * `incumbent` (its node, swapped occupant or -1, and cost land in
+ * ctx->move_*), or -1 when none is.  ctx->sweep_* receive this call's
+ * evaluation and skipped/replayed-op counts with the Python accounting,
+ * cutoff correction included. */
+int64_t repro_ctx_sweep(repro_replay_ctx *ctx, int64_t start,
+                        int64_t num_movable, const int32_t *movable,
+                        int64_t num_allowed, const int32_t *allowed,
+                        double incumbent)
+{
+    int64_t i, position;
+    int64_t evals = 0, skipped = 0, replayed = 0, found = -1;
+    for (i = 0; i < ctx->num_env_nodes; i++) {
+        ctx->occupant[i] = -1;
+    }
+    for (i = 0; i < ctx->num_qubits; i++) {
+        ctx->occupant[ctx->base_nodes[i]] = (int32_t)i;
+    }
+    for (position = start; position < num_movable && found < 0; position++) {
+        int32_t qubit = movable[position];
+        int32_t current = ctx->base_nodes[qubit];
+        int64_t k;
+        for (k = 0; k < num_allowed; k++) {
+            int32_t node = allowed[k];
+            int32_t other = ctx->occupant[node];
+            int64_t first = ctx->first_touch[qubit];
+            double cost;
+            if (node == current) {
+                continue;
+            }
+            if (other >= 0 && ctx->first_touch[other] < first) {
+                first = ctx->first_touch[other];
+            }
+            if (first >= ctx->num_ops) {
+                cost = ctx->base_runtime;
+            } else {
+                int64_t replay_start = first / ctx->interval * ctx->interval;
+                ctx->changed_flag[qubit] = 1;
+                ctx->changed_target[qubit] = node;
+                if (other >= 0) {
+                    ctx->changed_flag[other] = 1;
+                    ctx->changed_target[other] = current;
+                }
+                cost = repro_ctx_tail(ctx, replay_start, incumbent, 1);
+                ctx->changed_flag[qubit] = 0;
+                if (other >= 0) {
+                    ctx->changed_flag[other] = 0;
+                }
+                evals++;
+                skipped += replay_start;
+                replayed += ctx->num_ops - replay_start;
+                if (ctx->stop_index >= 0) {
+                    replayed -= ctx->num_ops - 1 - ctx->stop_index;
+                }
+            }
+            if (cost < incumbent) {
+                found = position;
+                ctx->move_node = node;
+                ctx->move_occupant = other;
+                ctx->move_cost = cost;
+                break;
+            }
+        }
+    }
+    ctx->sweep_evals = evals;
+    ctx->sweep_skipped = skipped;
+    ctx->sweep_replayed = replayed;
+    return found;
 }

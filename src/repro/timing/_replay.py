@@ -8,7 +8,7 @@ reference loop in :mod:`repro.timing.scheduler`, and ``native``, a small C
 kernel built on demand (its build shim and array plumbing live in
 :mod:`repro.timing._native`).  This module only resolves a backend request
 to one of them — from an explicit name, the ``REPRO_SCHEDULER_BACKEND``
-environment variable, and (for ``"auto"``) a profitability threshold — and
+environment variable, and (for ``"auto"``) whether the kernel builds — and
 registers the names in ``SCHEDULER_BACKENDS``.
 
 ``numpy`` stays an accepted name so saved run configs, shard plans and
@@ -18,7 +18,6 @@ environments that set it keep working; it resolves to ``python``.
 from __future__ import annotations
 
 import os
-from typing import Optional
 
 from repro.exceptions import ReproError
 from repro.timing import _native
@@ -29,24 +28,16 @@ BACKEND_ENV_VAR = "REPRO_SCHEDULER_BACKEND"
 #: Accepted backend names (``numpy`` is an alias of ``python``).
 BACKEND_CHOICES = ("auto", "python", "numpy", "native")
 
-#: Minimum compiled op count at which ``"auto"`` prefers the native kernel
-#: (when it builds).  The per-call ctypes dispatch costs a few microseconds,
-#: so on very short op lists the plain Python loop still wins; above this
-#: the compiled recurrence dominates (calibrated with the ``replay_native``
-#: scenario in ``benchmarks/perf``).
-AUTO_NATIVE_MIN_OPS = 32
 
-
-def resolve_backend(requested: str = "auto", num_ops: Optional[int] = None) -> str:
+def resolve_backend(requested: str = "auto") -> str:
     """Resolve a backend request to ``"python"`` or ``"native"``.
 
     ``"auto"`` first defers to the :data:`BACKEND_ENV_VAR` environment
     variable (which may itself say ``auto``); a still-unresolved ``auto``
-    picks ``native`` when the kernel is (or can be) built *and* the op list
-    is long enough (:data:`AUTO_NATIVE_MIN_OPS`; the threshold is skipped
-    when ``num_ops`` is ``None``), else ``python``.  ``"numpy"`` is an alias
-    of ``"python"``.  Both resolutions are bit-identical by contract, so
-    ``auto`` never changes any output — only wall time.
+    picks ``native`` when the kernel is (or can be) built, else ``python``.
+    ``"numpy"`` is an alias of ``"python"``.  Both resolutions are
+    bit-identical by contract, so ``auto`` never changes any output — only
+    wall time.
 
     An explicit ``"native"`` request (argument or environment variable)
     raises when the kernel is unavailable — silently falling back would
@@ -69,9 +60,7 @@ def resolve_backend(requested: str = "auto", num_ops: Optional[int] = None) -> s
     if requested == "numpy":
         return "python"
     if requested == "auto":
-        if (num_ops is None or num_ops >= AUTO_NATIVE_MIN_OPS) and _native.available():
-            return "native"
-        return "python"
+        return "native" if _native.available() else "python"
     if requested == "native" and not _native.available():
         raise ReproError(
             "the native scheduler backend was requested but the kernel is "
@@ -90,8 +79,8 @@ from repro.registry import SCHEDULER_BACKENDS
 
 SCHEDULER_BACKENDS.add(
     "auto", resolve_backend,
-    description="defer to REPRO_SCHEDULER_BACKEND, then pick the "
-                "profitable backend",
+    description="defer to REPRO_SCHEDULER_BACKEND, then pick native "
+                "when its kernel builds, else python",
 )
 SCHEDULER_BACKENDS.add(
     "python", _partial(resolve_backend, "python"),

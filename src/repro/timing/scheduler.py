@@ -18,7 +18,7 @@ Sequential levels
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Gate, Qubit
@@ -33,6 +33,11 @@ from repro.timing.gate_times import (
     gate_operating_time,
     validate_placement,
 )
+
+
+#: A hill-climb move found by a sweep: ``(position in the movable-qubit
+#: list, overrides to apply to the base placement, cost)``.
+Move = Tuple[int, Dict[Qubit, Node], float]
 
 
 @dataclass(frozen=True)
@@ -221,16 +226,16 @@ class RuntimeEvaluator:
     ``"native"``
         The whole recurrence — duration lookups, checkpoint restore,
         monotone cutoff — runs inside a small C kernel compiled on demand
-        (see :mod:`repro.timing._native`).  Results are float-for-float
-        identical to the python backend — the same IEEE-754 operations on
-        the same operands in the same order — so backend choice never
-        changes any output.  Requires a C compiler at first use; an
-        explicit request fails with a one-line error when the build is
-        unavailable.
+        (see :mod:`repro.timing._native`), and so does fine tuning's
+        candidate loop (:meth:`native_sweep`, one call per accepted move).
+        Results are float-for-float identical to the python backend — the
+        same IEEE-754 operations on the same operands in the same order —
+        so backend choice never changes any output.  Requires a C compiler
+        at first use; an explicit request fails with a one-line error when
+        the build is unavailable.
     ``"auto"`` (default)
         Defers to the ``REPRO_SCHEDULER_BACKEND`` environment variable,
-        then picks native when its kernel builds and the op list is long
-        enough to amortise the per-call dispatch, else python.
+        then picks native when its kernel builds, else python.
 
     In ``full_recompute`` mode the native backend additionally
     cross-checks every full evaluation against the pure Python loop, so
@@ -291,7 +296,7 @@ class RuntimeEvaluator:
         ]
 
         #: Resolved evaluation backend: ``"python"`` or ``"native"``.
-        self.backend: str = _replay.resolve_backend(backend, num_ops=len(ops))
+        self.backend: str = _replay.resolve_backend(backend)
         self._native: Optional[_native.NativeReplay] = None
         if self.backend == "native":
             self._native = _native.NativeReplay(
@@ -301,6 +306,7 @@ class RuntimeEvaluator:
                 environment.pair_delay_table(),
                 self._num_env_nodes,
                 checkpoint_interval,
+                self._first_touch,
             )
 
         # Base-placement state (populated by set_base).
@@ -530,6 +536,66 @@ class RuntimeEvaluator:
         if self.full_recompute:
             self._assert_full_recompute_parity(result, changed, overrides)
         return result
+
+    def native_sweep(
+        self,
+        placement: Placement,
+        movable_qubits: Sequence[Qubit],
+        allowed_nodes: Sequence[Node],
+    ) -> Optional[Callable[[int, float], Optional[Move]]]:
+        """Fine tuning's candidate loop as one native call per sweep.
+
+        Returns ``None`` unless the native backend is active and
+        ``full_recompute`` is off; the caller then runs the per-candidate
+        reference loop over :meth:`runtime_with`.  Otherwise returns
+        ``sweep(start, limit)``, which scores the reference loop's
+        candidates in its order — every allowed node but the current one
+        for each movable qubit from position ``start`` on, swapping with the
+        occupant — each exactly as ``runtime_with(overrides, limit=limit)``
+        would (counters included), and returns the first move cheaper than
+        ``limit`` or ``None``.  ``placement`` is the current base (the
+        caller keeps :meth:`set_base` in step with the moves it applies);
+        occupancy is read from the base, so ``placement`` must place
+        exactly this evaluator's qubits on distinct nodes — anything else
+        raises ``ValueError`` rather than a foreign qubit's node passing
+        for free.
+        """
+        native = self._native
+        if native is None or self.full_recompute:
+            return None
+        injective = len(set(placement.values())) == len(placement)
+        if not injective or placement.keys() != self._qubit_index.keys():
+            raise ValueError(
+                "a hill-climb sweep needs an injective placement of exactly "
+                "the evaluator's qubits"
+            )
+        movable = _native.int32_array([self._qubit_index[q] for q in movable_qubits])
+        allowed = _native.int32_array([self._node_index[n] for n in allowed_nodes])
+        qubits = self._qubits
+        nodes = self._nodes
+
+        def sweep(start: int, limit: float) -> Optional[Move]:
+            base_nodes = self._base_nodes
+            if base_nodes is None:
+                raise RuntimeError("set_base() must be called before a sweep")
+            self._check_environment_fresh()
+            if not 0 <= start <= len(movable):
+                raise ValueError(f"sweep start {start} outside the movable qubits")
+            found = native.sweep(start, movable, allowed, limit)
+            evals, skipped, replayed = native.sweep_counts
+            self._pending_incremental += evals
+            self._pending_skipped += skipped
+            self._pending_replayed += replayed
+            if found is None:
+                return None
+            position, node, occupant, cost = found
+            overrides = {movable_qubits[position]: nodes[node]}
+            if occupant >= 0:
+                current = base_nodes[movable[position]]
+                overrides[qubits[occupant]] = nodes[current]
+            return position, overrides, cost
+
+        return sweep
 
     def _replay_tail_native(
         self,

@@ -102,23 +102,23 @@ class TestResolveBackend:
             _replay.resolve_backend("fortran")
 
     @needs_native
-    def test_auto_prefers_native_above_its_threshold(self, monkeypatch):
+    def test_auto_is_native_when_the_kernel_builds(self, monkeypatch, crotonic):
         monkeypatch.delenv(_replay.BACKEND_ENV_VAR, raising=False)
-        threshold = _replay.AUTO_NATIVE_MIN_OPS
-        assert _replay.resolve_backend("auto", num_ops=threshold) == "native"
-        assert _replay.resolve_backend("auto", num_ops=None) == "native"
-        # Below the native threshold the fixed dispatch overhead is not
-        # worth paying: pure python wins.
-        assert _replay.resolve_backend("auto", num_ops=threshold - 1) == "python"
+        assert _replay.resolve_backend("auto") == "native"
+        # No op-count floor: even a one-op evaluator gets the kernel.
+        tiny = QuantumCircuit([0, 1], [g.zz(0, 1, 90.0)])
+        assert RuntimeEvaluator(tiny, crotonic).backend == "native"
+        empty = QuantumCircuit([0, 1], [])
+        assert RuntimeEvaluator(empty, crotonic).backend == "native"
 
     def test_env_var_overrides_auto(self, monkeypatch):
         monkeypatch.setenv(_replay.BACKEND_ENV_VAR, "python")
-        assert _replay.resolve_backend("auto", num_ops=10**6) == "python"
+        assert _replay.resolve_backend("auto") == "python"
 
     @needs_native
     def test_env_var_selects_native(self, monkeypatch):
         monkeypatch.setenv(_replay.BACKEND_ENV_VAR, "native")
-        assert _replay.resolve_backend("auto", num_ops=1) == "native"
+        assert _replay.resolve_backend("auto") == "native"
 
     def test_env_var_does_not_override_explicit_request(self, monkeypatch):
         monkeypatch.setenv(_replay.BACKEND_ENV_VAR, "native")
@@ -140,22 +140,21 @@ class TestResolveBackend:
         # fail just as loudly — a misconfigured deployment, not a fallback.
         monkeypatch.setenv(_replay.BACKEND_ENV_VAR, "native")
         with pytest.raises(ReproError, match="no C compiler found"):
-            _replay.resolve_backend("auto", num_ops=10**6)
+            _replay.resolve_backend("auto")
 
-    def test_auto_without_native_falls_back(self, monkeypatch):
+    def test_auto_without_native_falls_back(self, monkeypatch, crotonic):
         monkeypatch.delenv(_replay.BACKEND_ENV_VAR, raising=False)
         monkeypatch.setattr(_native, "available", lambda: False)
-        assert _replay.resolve_backend("auto", num_ops=10**6) == "python"
-        assert _replay.resolve_backend("auto", num_ops=None) == "python"
+        assert _replay.resolve_backend("auto") == "python"
+        long_circuit = _random_circuit(5, 400, 3)
+        assert RuntimeEvaluator(long_circuit, crotonic).backend == "python"
 
     def test_numpy_is_an_alias_of_python(self):
         assert _replay.resolve_backend("numpy") == "python"
-        assert _replay.resolve_backend("numpy", num_ops=10**6) == "python"
 
     def test_numpy_env_var_resolves_to_python(self, monkeypatch):
         monkeypatch.setenv(_replay.BACKEND_ENV_VAR, "numpy")
-        assert _replay.resolve_backend("auto", num_ops=10**6) == "python"
-        assert _replay.resolve_backend("auto", num_ops=None) == "python"
+        assert _replay.resolve_backend("auto") == "python"
 
     def test_numpy_evaluator_runs_the_python_loop(self, crotonic):
         circuit = _random_circuit(5, 40, 17)
@@ -170,7 +169,7 @@ class TestResolveBackend:
         # On hosts without a working toolchain, auto must silently resolve
         # to python and the evaluator must stay fully functional.
         assert _native.unavailable_reason()
-        assert _replay.resolve_backend("auto", num_ops=10**6) == "python"
+        assert _replay.resolve_backend("auto") == "python"
         environment = trans_crotonic_acid()
         circuit = _random_circuit(4, 20, 7)
         placement = _random_placement(circuit, environment, 8)
