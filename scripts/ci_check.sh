@@ -41,7 +41,12 @@
 #      --check`): one pass of every workload at the default seed, every
 #      job's output checked and its digest compared with
 #      perfbench/digests.json, and every Table-3 row of the parallel and
-#      sharded runs compared with the serial rows (perfbench/README.md).
+#      sharded runs compared with the serial rows (perfbench/README.md);
+#      then a short traced chain_scalability run that must report
+#      "correct": true — the tracer pairs its monomorphism.probe spans
+#      with the monomorphism.searches counter, so a workspace probe that
+#      searches without going through repro.core.workspace's
+#      has_monomorphism makes the traced run incorrect.
 #
 # Usage: scripts/ci_check.sh
 set -euo pipefail
@@ -244,5 +249,12 @@ echo "== 7/8 micro benchmark regression gate =="
 
 echo "== 8/8 placement benchmark determinism gate =="
 "$PYTHON" perfbench/run.py --check
+TRACED="$("$PYTHON" perfbench/run.py --workload chain_scalability \
+    --seconds 2 --trace 1 | tail -n 1)"
+if [[ "$TRACED" != '{"correct": true,'* ]]; then
+    echo "FAIL: traced chain_scalability run is not correct: ${TRACED:0:200}" >&2
+    exit 1
+fi
+echo "traced chain_scalability run correct"
 
 echo "ci_check: all gates passed"

@@ -21,15 +21,29 @@ from two sound necessary conditions — host degree at least the pattern
 degree, and the host neighbourhood's degree multiset dominating the pattern
 neighbourhood's — so impossible candidates never enter the search at all.
 
-Both prunings only remove host nodes that cannot appear in *any* complete
+A third pruning works on free space.  The pattern order places each
+connected component of the pattern in one contiguous run of positions, so
+a position with no placed neighbour starts a new component.  On entering
+such a position the free host nodes are flood-filled into connected
+regions; a component's image is connected and lies on free nodes, so a
+region smaller than the smallest unplaced component can host none of
+them.  When the remaining usable free nodes are fewer than the unplaced
+pattern nodes, the position gets no candidates.  On a chain this cuts off
+packings that strand too-small gaps between components, which would
+otherwise enumerate every placement of the later components before
+backtracking.
+
+All three prunings only remove search subtrees that contain no complete
 monomorphism, and candidate bits are visited lowest-index-first, i.e. in
 the canonical ``repr``-sorted host order; the sequence of yielded mappings
 is therefore exactly the one the original scan-based enumerator produced
-(property-tested in ``tests/test_monomorphism_equivalence.py``).
+(property-tested in ``tests/test_monomorphism_equivalence.py``).  Only the
+``monomorphism.nodes_explored`` counter reflects the pruning.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, Hashable, Iterator, List, Optional
 
 import networkx as nx
@@ -43,35 +57,36 @@ Mapping_ = Dict[Node, Node]
 
 
 def _pattern_order(pattern: nx.Graph) -> List[Node]:
-    """Order pattern nodes: highest degree first, then keep the frontier connected."""
-    if pattern.number_of_nodes() == 0:
-        return []
-    remaining = set(pattern.nodes())
-    node_order = node_index_table(remaining)
+    """Order pattern nodes: highest degree first, then keep the frontier connected.
+
+    The next node is the remaining one with the most placed neighbours,
+    ties broken by degree and then canonical index.  Nodes off the
+    frontier have no placed neighbour, so the rule picks a frontier node
+    while one exists and otherwise the highest-degree remaining node,
+    which starts the next connected component.  A lazy max-heap keyed on
+    that triple makes the scan O(E log V): a node's key only grows, so a
+    popped entry whose count is stale is simply skipped.
+    """
+    node_order = node_index_table(pattern.nodes())
+    nodes = list(node_order)
+    degree = [pattern.degree(node) for node in nodes]
+    placed_neighbours = [0] * len(nodes)
+    placed = [False] * len(nodes)
+    heap = [(0, -degree[i], -i) for i in range(len(nodes))]
+    heapq.heapify(heap)
     order: List[Node] = []
-    # Start from the highest-degree node (ties broken deterministically).
-    start = max(remaining, key=lambda n: (pattern.degree(n), node_order[n]))
-    order.append(start)
-    placed = {start}
-    remaining.remove(start)
-    while remaining:
-        frontier = [
-            node
-            for node in remaining
-            if any(neighbour in placed for neighbour in pattern.neighbors(node))
-        ]
-        pool = frontier if frontier else list(remaining)
-        nxt = max(
-            pool,
-            key=lambda n: (
-                sum(1 for nb in pattern.neighbors(n) if nb in placed),
-                pattern.degree(n),
-                node_order[n],
-            ),
-        )
-        order.append(nxt)
-        placed.add(nxt)
-        remaining.remove(nxt)
+    while heap:
+        negative_count, _, negative_index = heapq.heappop(heap)
+        index = -negative_index
+        if placed[index] or placed_neighbours[index] != -negative_count:
+            continue
+        placed[index] = True
+        order.append(nodes[index])
+        for neighbour in pattern.neighbors(nodes[index]):
+            j = node_order[neighbour]
+            if not placed[j]:
+                placed_neighbours[j] += 1
+                heapq.heappush(heap, (-placed_neighbours[j], -degree[j], -j))
     return order
 
 
@@ -103,6 +118,56 @@ def _candidate_domains(
         )
         for pattern_node in order
     ]
+
+
+def _component_floors(anchors: List[List[int]]) -> List[int]:
+    """Per position, the smallest unplaced component size where the check applies.
+
+    A position with no anchor after position 0 starts a new component of
+    the pattern; its entry is the smallest size among the components from
+    there on.  Every other entry is 0, as is a floor of 1: a single node
+    fits any free node, and there are always enough free nodes for the
+    unplaced ones.
+    """
+    positions = len(anchors)
+    starts = [position for position in range(positions) if not anchors[position]]
+    floors = [0] * positions
+    smallest = positions
+    for start, stop in reversed(list(zip(starts, starts[1:] + [positions]))):
+        smallest = min(smallest, stop - start)
+        if start > 0 and smallest > 1:
+            floors[start] = smallest
+    return floors
+
+
+def _free_space_suffices(
+    free: int, adjacency: List[int], min_size: int, needed: int
+) -> bool:
+    """Whether ``needed`` free nodes lie in free regions of ``min_size`` or more.
+
+    Flood-fills the free host nodes region by region over the adjacency
+    masks and stops as soon as the answer is known, so a roomy host costs
+    about ``needed`` node expansions, not one per free node.
+    """
+    usable = 0
+    while free:
+        region = free & -free
+        frontier = region
+        while frontier:
+            grown = 0
+            while frontier:
+                low = frontier & -frontier
+                grown |= adjacency[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grown & free & ~region
+            region |= frontier
+            size = region.bit_count()
+            if size >= min_size and usable + size >= needed:
+                return True
+        free ^= region
+        if size >= min_size:
+            usable += size
+    return False
 
 
 def iter_monomorphisms(
@@ -153,8 +218,11 @@ def iter_monomorphisms(
         for position in range(positions)
     ]
 
+    floors = _component_floors(anchors)
+
     host_nodes = encoding.nodes
     adjacency = encoding.adjacency
+    full_mask = encoding.full_mask
     last = positions - 1
 
     images = [0] * positions  # host bit index chosen at each position
@@ -187,6 +255,15 @@ def iter_monomorphisms(
                 candidate_mask = domains[position] & ~used
                 for anchor in anchors[position]:
                     candidate_mask &= adjacency[images[anchor]]
+                floor = floors[position]
+                if (
+                    floor
+                    and candidate_mask
+                    and not _free_space_suffices(
+                        full_mask & ~used, adjacency, floor, positions - position
+                    )
+                ):
+                    candidate_mask = 0
                 available[position] = candidate_mask
             else:
                 position -= 1
@@ -217,11 +294,18 @@ def has_monomorphism(
     pattern: nx.Graph,
     host: nx.Graph,
     host_encoding: Optional[HostEncoding] = None,
+    witness: Optional[Mapping_] = None,
 ) -> bool:
-    """Whether at least one monomorphism exists."""
-    for _ in iter_monomorphisms(
+    """Whether at least one monomorphism exists.
+
+    ``witness``, when given, receives the first mapping found (pattern
+    node to host node), so a caller can extend it without a new search.
+    """
+    for mapping in iter_monomorphisms(
         pattern, host, max_count=1, host_encoding=host_encoding
     ):
+        if witness is not None:
+            witness.update(mapping)
         return True
     return pattern.number_of_nodes() == 0
 

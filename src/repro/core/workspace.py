@@ -14,13 +14,13 @@ slices are later placed independently and glued with SWAP stages.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Gate, Qubit
-from repro.core._bitset import HostEncoding, canonical_order, encode_host
+from repro.core._bitset import HostEncoding, canonical_order, encode_host, iter_bits
 from repro.core.monomorphism import has_monomorphism
 from repro.exceptions import PlacementError
 
@@ -72,8 +72,12 @@ def _embeds(
     host: nx.Graph,
     host_encoding: Optional[HostEncoding] = None,
     host_bipartite: bool = False,
+    witness: Optional[Dict[Qubit, Hashable]] = None,
 ) -> bool:
-    """Exact embeddability check with the cheap necessary conditions first."""
+    """Exact embeddability check with the cheap necessary conditions first.
+
+    ``witness`` receives the embedding when one is found by search.
+    """
     if graph.number_of_nodes() == 0:
         return True
     # networkx counts edges by summing every node's degree, O(n) on a large
@@ -94,7 +98,62 @@ def _embeds(
         # search nodes, and synthetic hosts (grid/chain/ring with even
         # length) are all bipartite.
         return False
-    return has_monomorphism(graph, host, host_encoding=host_encoding)
+    return has_monomorphism(
+        graph, host, host_encoding=host_encoding, witness=witness
+    )
+
+
+class _Witness:
+    """The last proven embedding of the growing interaction graph, as host bits.
+
+    A new edge whose endpoints the embedding already places on a host
+    edge, or can place on free host nodes, is proven embeddable without a
+    search: the extended map is itself a monomorphism.
+    """
+
+    __slots__ = ("encoding", "images", "used")
+
+    def __init__(self, encoding: HostEncoding) -> None:
+        self.encoding = encoding
+        self.images: Dict[Qubit, int] = {}
+        self.used = 0
+
+    def reset(self, mapping: Optional[Dict[Qubit, Hashable]] = None) -> None:
+        index = self.encoding.index
+        self.images = {} if mapping is None else {
+            qubit: index[node] for qubit, node in mapping.items()
+        }
+        self.used = 0
+        for bit in self.images.values():
+            self.used |= 1 << bit
+
+    def _place(self, qubit: Qubit, candidates: int) -> bool:
+        """Map ``qubit`` to the lowest free bit of ``candidates``, if any."""
+        candidates &= ~self.used
+        if not candidates:
+            return False
+        low = candidates & -candidates
+        self.images[qubit] = low.bit_length() - 1
+        self.used |= low
+        return True
+
+    def extend(self, a: Qubit, b: Qubit) -> bool:
+        """Extend the embedding to edge ``(a, b)`` without search, if it plainly can."""
+        adjacency = self.encoding.adjacency
+        image_a = self.images.get(a)
+        image_b = self.images.get(b)
+        if image_a is not None and image_b is not None:
+            return bool(adjacency[image_a] >> image_b & 1)
+        if image_a is not None:
+            return self._place(b, adjacency[image_a])
+        if image_b is not None:
+            return self._place(a, adjacency[image_b])
+        free = self.encoding.full_mask & ~self.used
+        for bit in iter_bits(free):
+            if adjacency[bit] & free:
+                self._place(a, 1 << bit)
+                return self._place(b, adjacency[bit])
+        return False
 
 
 def extract_workspaces(
@@ -108,10 +167,17 @@ def extract_workspaces(
     ----------
     max_two_qubit_gates:
         Optional cap on the number of two-qubit gates per workspace.  The
-    paper's strategy is greedy-maximal ("the computational stage is formed
-        to be as large as possible"); bounding the workspace size is the
-        alternative its conclusions suggest exploring — it trades more SWAP
-        stages for smaller, better-optimised computational stages.
+        paper's strategy is greedy-maximal ("the computational stage is
+        formed to be as large as possible"); bounding the workspace size is
+        the alternative its conclusions suggest exploring — it trades more
+        SWAP stages for smaller, better-optimised computational stages.
+
+    The scan keeps the last proven embedding of the growing interaction
+    graph.  A new interaction that embedding extends to (both endpoints on
+    a host edge, or an endpoint placeable on a free host node) is accepted
+    without a probe; any other one is probed by search, and the embedding
+    found re-seeds the carry.  Only probes already proved true are skipped,
+    so the workspace boundaries are those of a fresh probe per interaction.
 
     Raises :class:`~repro.exceptions.PlacementError` when even a single
     two-qubit gate cannot be aligned with a fast interaction (i.e. the
@@ -127,7 +193,7 @@ def extract_workspaces(
         raise PlacementError("max_two_qubit_gates must be at least 1")
 
     # One bitset encoding of the host serves every embeddability probe of
-    # the greedy scan (one probe per distinct two-qubit interaction).
+    # the greedy scan.
     host_encoding = (
         encode_host(adjacency_graph)
         if adjacency_graph.number_of_nodes() > 0
@@ -136,6 +202,7 @@ def extract_workspaces(
     host_bipartite = (
         adjacency_graph.number_of_edges() > 0 and nx.is_bipartite(adjacency_graph)
     )
+    witness = _Witness(host_encoding) if host_encoding is not None else None
 
     workspaces: List[Workspace] = []
     current_graph = nx.Graph()
@@ -160,6 +227,26 @@ def extract_workspaces(
         current_start = stop
         current_graph = nx.Graph()
         current_two_qubit_count = 0
+        if witness is not None:
+            witness.reset()
+
+    def grow(a: Qubit, b: Qubit) -> bool:
+        """Add interaction ``(a, b)`` to the current workspace if it still embeds."""
+        nonlocal current_graph
+        if witness is not None and witness.extend(a, b):
+            current_graph.add_edge(a, b)
+            return True
+        candidate = current_graph.copy()
+        candidate.add_edge(a, b)
+        found: Dict[Qubit, Hashable] = {}
+        if not _embeds(
+            candidate, adjacency_graph, host_encoding, host_bipartite, found
+        ):
+            return False
+        current_graph = candidate
+        if witness is not None:
+            witness.reset(found)
+        return True
 
     gates = circuit.gates
     for position, gate in enumerate(gates):
@@ -171,26 +258,15 @@ def extract_workspaces(
             and current_two_qubit_count >= max_two_qubit_gates
         ):
             close(position)
-        if current_graph.has_edge(a, b):
-            current_two_qubit_count += 1
-            continue
-        candidate = current_graph.copy()
-        candidate.add_edge(a, b)
-        if _embeds(candidate, adjacency_graph, host_encoding, host_bipartite):
-            current_graph = candidate
-            current_two_qubit_count += 1
-            continue
-        # The gate breaks embeddability: close the workspace before it.
-        close(position)
-        current_graph.add_edge(a, b)
-        current_two_qubit_count = 1
-        if not _embeds(
-            current_graph, adjacency_graph, host_encoding, host_bipartite
-        ):
-            raise PlacementError(
-                f"two-qubit gate {gate!r} cannot be aligned with any fast "
-                "interaction of the environment"
-            )
+        if not current_graph.has_edge(a, b) and not grow(a, b):
+            # The gate breaks embeddability: close the workspace before it.
+            close(position)
+            if not grow(a, b):
+                raise PlacementError(
+                    f"two-qubit gate {gate!r} cannot be aligned with any fast "
+                    "interaction of the environment"
+                )
+        current_two_qubit_count += 1
     close(len(gates))
 
     if not workspaces:

@@ -155,24 +155,46 @@ def _dfs_tree_edges(
 
 
 def _tree_edge_split(
-    graph: nx.Graph, tree: nx.Graph, order: Dict[Node, int]
-) -> Optional[Bisection]:
-    """Best bisection obtained by deleting a single spanning-tree edge."""
+    graph: nx.Graph,
+    root: Node,
+    edges: List[Tuple[Node, Node]],
+    order: Dict[Node, int],
+) -> Bisection:
+    """Best bisection obtained by deleting a single spanning-tree edge.
+
+    ``edges`` are the ``(parent, child)`` edges of a spanning tree rooted
+    at ``root``, each child after its parent.  Deleting an edge cuts off
+    the child's subtree, so one bottom-up pass over subtree sizes prices
+    every cut.  Cuts are tried in the edge order of ``nx.Graph(edges)``
+    (each node's children, nodes in first-appearance order); the first
+    strictly most balanced cut wins, and the scan stops once no cut can
+    do better.  The root's side is passed first, so on an even split it
+    becomes ``part_one``.
+    """
     total = graph.number_of_nodes()
-    best: Optional[Bisection] = None
-    for edge in list(tree.edges()):
-        tree.remove_edge(*edge)
-        components = list(nx.connected_components(tree))
-        tree.add_edge(*edge)
-        if len(components) != 2:
-            continue
-        part_a, part_b = components
-        candidate = _bisection_from_parts(graph, set(part_a), set(part_b), order)
-        if best is None or abs(candidate.balance) < abs(best.balance):
-            best = candidate
-        if best.balance <= total % 2:
+    children: Dict[Node, List[Node]] = {root: []}
+    for parent, child in edges:
+        children[parent].append(child)
+        children[child] = []
+    size = dict.fromkeys(children, 1)
+    for parent, child in reversed(edges):
+        size[parent] += size[child]
+    best_child = None
+    best_balance = total
+    for parent in children:
+        for child in children[parent]:
+            balance = abs(total - 2 * size[child])
+            if balance < best_balance:
+                best_child, best_balance = child, balance
+        if best_balance <= total % 2:
             break
-    return best
+    subtree = {best_child}
+    stack = [best_child]
+    while stack:
+        for child in children[stack.pop()]:
+            subtree.add(child)
+            stack.append(child)
+    return _bisection_from_parts(graph, set(children) - subtree, subtree, order)
 
 
 def _refine_by_moving_boundary(
@@ -238,11 +260,9 @@ def balanced_connected_bisection(
             continue
         seen_roots.add(root)
         for tree_builder in (_bfs_tree_edges, _dfs_tree_edges):
-            tree = nx.Graph(tree_builder(graph, root, order))
-            tree.add_nodes_from(nodes)
-            candidate = _tree_edge_split(graph, tree, order)
-            if candidate is None:
-                continue
+            candidate = _tree_edge_split(
+                graph, root, tree_builder(graph, root, order), order
+            )
             if best is None or abs(candidate.balance) < abs(best.balance):
                 best = candidate
     if best is None:  # pragma: no cover - a connected graph always has a spanning tree

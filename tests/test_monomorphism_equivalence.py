@@ -13,6 +13,7 @@ Three independent referees keep the rewritten engine honest:
 """
 
 import itertools
+from unittest import mock
 
 import networkx as nx
 import pytest
@@ -132,6 +133,50 @@ def pattern_host_pairs(draw):
     return pattern, host
 
 
+@st.composite
+def order_patterns(draw):
+    """Patterns for the ordering rule: often disconnected, some mixed-type labels."""
+    pattern = nx.gnp_random_graph(
+        draw(st.integers(0, 14)), draw(st.floats(0.0, 0.6)), seed=draw(st.integers(0, 10_000))
+    )
+    if draw(st.booleans()):
+        labels = [lambda i: i, lambda i: f"q{i}", lambda i: ("t", i)]
+        pattern = nx.relabel_nodes(pattern, {i: labels[i % 3](i) for i in pattern})
+    return pattern
+
+
+@st.composite
+def linear_forest_packings(draw):
+    """Path forests filling a small host to within 0-2 nodes.
+
+    Zero- and near-zero-slack packings are where a component placed in
+    the middle of the host strands gaps too small for the rest, the case
+    the free-region pruning cuts off; random gnp patterns almost never
+    reach it.  Components have 2-5 nodes, plus at most one isolated node,
+    so full enumerations stay small.
+    """
+    kind = draw(st.sampled_from(["path", "cycle", "grid"]))
+    if kind == "path":
+        host = nx.path_graph(draw(st.integers(4, 10)))
+    elif kind == "cycle":
+        host = nx.cycle_graph(draw(st.integers(4, 9)))
+    else:
+        host = nx.grid_2d_graph(draw(st.integers(2, 3)), draw(st.integers(2, 3)))
+    budget = host.number_of_nodes() - draw(st.integers(0, 2))
+    sizes = []
+    while budget - sum(sizes) >= 2:
+        sizes.append(draw(st.integers(2, min(5, budget - sum(sizes)))))
+    if draw(st.booleans()) and sum(sizes) < budget:
+        sizes.append(1)
+    labels = draw(st.permutations(range(sum(sizes))))
+    pattern = nx.Graph()
+    offset = 0
+    for size in sizes:
+        nx.add_path(pattern, labels[offset:offset + size])
+        offset += size
+    return pattern, host
+
+
 # ---------------------------------------------------------------------------
 # Count equivalence against networkx
 # ---------------------------------------------------------------------------
@@ -187,6 +232,95 @@ class TestOrderParityWithSeed:
         assert list(iter_monomorphisms(pattern, host)) == list(
             seed_iter_monomorphisms(pattern, host)
         )
+
+
+# ---------------------------------------------------------------------------
+# Pattern order and free-region pruning
+# ---------------------------------------------------------------------------
+
+
+class TestPatternOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(order_patterns())
+    def test_heap_order_matches_seed_rescans(self, pattern):
+        assert _pattern_order(pattern) == _seed_pattern_order(pattern)
+
+    def test_disconnected_mixed_label_pattern(self):
+        pattern = nx.Graph([("a", (1, 2)), ((1, 2), 3), (3, "a"), (7.5, "z")])
+        nx.add_star(pattern, [("hub",), "x", "y", "w"])
+        pattern.add_nodes_from(["lone", 0])
+        order = _pattern_order(pattern)
+        assert order == _seed_pattern_order(pattern)
+        assert sorted(map(repr, order)) == sorted(map(repr, pattern.nodes()))
+
+    def test_components_take_contiguous_positions(self):
+        pattern = nx.disjoint_union_all(
+            [nx.path_graph(3), nx.star_graph(3), nx.cycle_graph(5), nx.empty_graph(1)]
+        )
+        component_of = {
+            node: index
+            for index, component in enumerate(nx.connected_components(pattern))
+            for node in component
+        }
+        runs = [component_of[node] for node in _pattern_order(pattern)]
+        changes = [i for i in range(1, len(runs)) if runs[i] != runs[i - 1]]
+        assert len(changes) == 3  # four components, each in one run
+
+
+def _unpruned():
+    """Disable the free-region pruning (the degree prunings stay on)."""
+    return mock.patch(
+        "repro.core.monomorphism._free_space_suffices", lambda *args: True
+    )
+
+
+class TestFreeRegionPruning:
+    @settings(max_examples=60, deadline=None)
+    @given(linear_forest_packings(), st.sampled_from([None, 1, 100]))
+    def test_packing_order_matches_seed(self, packing, max_count):
+        pattern, host = packing
+        ours = list(iter_monomorphisms(pattern, host, max_count=max_count))
+        assert ours == list(seed_iter_monomorphisms(pattern, host, max_count=max_count))
+
+    def test_pruning_removes_only_dead_subtrees(self):
+        fired = 0
+        cases = [
+            (nx.path_graph(n), sizes)
+            for n, sizes in [(9, [3, 3, 3]), (10, [2, 3, 5]), (8, [4, 4]), (11, [2, 2, 3, 4])]
+        ] + [
+            (nx.cycle_graph(8), [3, 5]),
+            (nx.grid_2d_graph(3, 3), [3, 3, 3]),
+            (nx.grid_2d_graph(2, 4), [2, 2, 4]),
+        ]
+        for host, sizes in cases:
+            pattern = nx.disjoint_union_all([nx.path_graph(size) for size in sizes])
+            before = STATS.snapshot()
+            pruned = list(iter_monomorphisms(pattern, host))
+            pruned_nodes = STATS.delta_since(before)["monomorphism.nodes_explored"]
+            with _unpruned():
+                before = STATS.snapshot()
+                full = list(iter_monomorphisms(pattern, host))
+                full_nodes = STATS.delta_since(before)["monomorphism.nodes_explored"]
+            assert pruned == full
+            assert pruned_nodes <= full_nodes
+            fired += pruned_nodes < full_nodes
+        assert fired >= 5
+
+    def test_zero_slack_chain_refutes_without_enumerating_placements(self):
+        # Three 3-paths and a 4-path fill a 13-node chain exactly: a path
+        # placed away from the packed prefix strands a gap too small for
+        # the rest, and without the pruning the search tries every
+        # placement of the later paths before it backtracks.
+        pattern = nx.disjoint_union_all([nx.path_graph(s) for s in (4, 3, 3, 3)])
+        host = nx.path_graph(13)
+        before = STATS.snapshot()
+        assert has_monomorphism(pattern, host)
+        pruned = STATS.delta_since(before)["monomorphism.nodes_explored"]
+        with _unpruned():
+            before = STATS.snapshot()
+            assert has_monomorphism(pattern, host)
+            full = STATS.delta_since(before)["monomorphism.nodes_explored"]
+        assert pruned < full
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,17 @@
 
 import networkx as nx
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.circuits import gates as g
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.library import qft_circuit
-from repro.core.workspace import extract_workspaces, workspace_boundaries
+from repro.core._bitset import encode_host
+from repro.core.stats import STATS
+from repro.core.workspace import _embeds, extract_workspaces, workspace_boundaries
 from repro.exceptions import PlacementError
+from repro.registry import load_circuit, load_environment
 
 
 @pytest.fixture
@@ -129,3 +134,124 @@ class TestWorkspaceObject:
         )
         workspaces = extract_workspaces(circuit, chain_host)
         assert workspace_boundaries(workspaces) == [2]
+
+
+# ---------------------------------------------------------------------------
+# Witness carry against a fresh probe per interaction
+# ---------------------------------------------------------------------------
+
+
+def fresh_probe_workspaces(circuit, host, max_two_qubit_gates=None):
+    """The greedy scan with one embeddability search per new interaction.
+
+    Returns ``(start, stop, nodes, edges)`` per workspace; the reference
+    for the witness-carrying scan, which must close at the same gates.
+    """
+    encoding = encode_host(host)
+    bipartite = nx.is_bipartite(host)
+    slices = []
+    graph = nx.Graph()
+    start = count = 0
+
+    def close(stop):
+        nonlocal graph, start, count
+        if stop > start:
+            slices.append((start, stop, list(graph.nodes()), list(graph.edges())))
+            start, graph, count = stop, nx.Graph(), 0
+
+    for position, gate in enumerate(circuit.gates):
+        if not gate.is_two_qubit:
+            continue
+        a, b = gate.interaction()
+        if max_two_qubit_gates is not None and count >= max_two_qubit_gates:
+            close(position)
+        if graph.has_edge(a, b):
+            count += 1
+            continue
+        candidate = graph.copy()
+        candidate.add_edge(a, b)
+        if _embeds(candidate, host, encoding, bipartite):
+            graph = candidate
+            count += 1
+            continue
+        close(position)
+        graph.add_edge(a, b)
+        count = 1
+        assert _embeds(graph, host, encoding, bipartite)
+    close(len(circuit.gates))
+    return slices
+
+
+HOSTS = {
+    "chain": lambda: load_environment("chain:7").adjacency_graph(10.0),
+    "ring": lambda: load_environment("ring:8").adjacency_graph(10.0),
+    "grid": lambda: load_environment("grid:3x3").adjacency_graph(10.0),
+    "star": lambda: load_environment("star:6").adjacency_graph(10.0),
+    "molecule": lambda: load_environment("trans-crotonic-acid").adjacency_graph(100.0),
+}
+
+
+class TestWitnessCarry:
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.sampled_from(sorted(HOSTS)),
+        st.sampled_from([None, 1, 3]),
+        st.sampled_from(["random", "random-chain"]),
+        st.integers(2, 6),
+        st.integers(1, 40),
+        st.integers(0, 10_000),
+    )
+    def test_matches_fresh_probes(self, host_name, cap, family, qubits, gates, seed):
+        host = HOSTS[host_name]()
+        circuit = load_circuit(f"{family}:{qubits}x{gates}x{seed}")
+        before = STATS.snapshot()
+        expected = fresh_probe_workspaces(circuit, host, cap)
+        reference_searches = STATS.delta_since(before).get("monomorphism.searches", 0)
+        before = STATS.snapshot()
+        workspaces = extract_workspaces(circuit, host, cap)
+        searches = STATS.delta_since(before).get("monomorphism.searches", 0)
+        assert [
+            (w.start, w.stop, list(w.interaction_graph.nodes()),
+             list(w.interaction_graph.edges()))
+            for w in workspaces
+        ] == expected
+        assert searches <= reference_searches
+
+    def test_carried_interactions_skip_the_search(self):
+        # A nearest-neighbour ladder on a chain extends the first proven
+        # embedding edge by edge: one workspace and no search at all.
+        circuit = QuantumCircuit(
+            list("abcde"),
+            [g.zz("a", "b"), g.zz("b", "c"), g.zz("c", "d"), g.zz("d", "e")],
+        )
+        before = STATS.snapshot()
+        workspaces = extract_workspaces(circuit, nx.path_graph(6))
+        assert len(workspaces) == 1
+        assert STATS.delta_since(before).get("monomorphism.searches", 0) == 0
+
+    def test_closing_a_workspace_resets_the_carry(self):
+        # With one gate per workspace on a one-edge host, each workspace's
+        # edge fits only once the previous workspace's images are freed.
+        circuit = QuantumCircuit(
+            list("abcd"), [g.zz("a", "b"), g.zz("c", "d"), g.zz("a", "c")]
+        )
+        before = STATS.snapshot()
+        workspaces = extract_workspaces(circuit, nx.path_graph(2), 1)
+        assert workspace_boundaries(workspaces) == [1, 2]
+        assert STATS.delta_since(before).get("monomorphism.searches", 0) == 0
+
+    def test_recorded_packing_blow_up_stays_within_budget(self):
+        # hidden-stage:32x441001 on chain:32 used to explore 45,045,594
+        # search nodes (tens of seconds): zero-slack packings of path
+        # components whose first component, placed mid-chain, stranded
+        # gaps too small for the rest.  The boundaries are those recorded
+        # before the free-region pruning and the witness carry.
+        circuit = load_circuit("hidden-stage:32x441001")
+        host = load_environment("chain:32").adjacency_graph(10.0)
+        before = STATS.snapshot()
+        workspaces = extract_workspaces(circuit, host)
+        explored = STATS.delta_since(before)["monomorphism.nodes_explored"]
+        assert workspace_boundaries(workspaces) == [160, 320, 480, 640]
+        assert workspaces[-1].stop == circuit.num_gates
+        assert explored < 2_000_000
